@@ -176,7 +176,6 @@ def test_http_engine_drives_live_pools(spec, artifact, dataset):
     traffic = replace(spec.traffic, n_requests=32, concurrency=4)
     config = ServeConfig(
         mmap=True,
-        shards=2,
         max_batch=spec.serve.max_batch,
         max_wait_ms=spec.serve.max_wait_ms,
         queue_size=spec.serve.queue_size,

@@ -6,15 +6,13 @@ from one flat namespace with unified keyword spellings:
 
 * ``n_jobs``     — worker count for parallel dispatch (``None``/``0`` defers
   to ``REPRO_WORKERS``);
-* ``chunk_rows`` — rows per block/tile on the row-chunked axis (formerly a
-  mix of ``tile_rows``, ``block_rows``, and ``tile``);
+* ``chunk_rows`` — rows per block/tile on the row-chunked axis;
 * ``tile_cols``  — candidate columns per tile in the streaming search engine.
 
-The old spellings still work everywhere but emit ``DeprecationWarning``
-(see :mod:`repro.utils.deprecation`).  Import from here rather than from
-submodules: the lint rule HD007 and ``tests/api/test_facade.py`` pin this
-surface, so symbols listed in ``__all__`` are guaranteed to resolve and to
-be the same objects as their defining modules'.
+Import from here rather than from submodules: the lint rule HD007 and
+``tests/api/test_facade.py`` pin this surface, so symbols listed in
+``__all__`` are guaranteed to resolve and to be the same objects as their
+defining modules'.
 """
 
 from __future__ import annotations
@@ -54,14 +52,11 @@ from repro.core.distance import (
 )
 from repro.core.search import (
     HDIndex,
-    ShardedHDIndex,
     argmin_hamming,
     loo_topk_hamming,
     loo_topk_hamming_reference,
-    shard_spans,
     topk_hamming,
     topk_hamming_reference,
-    topk_hamming_sharded,
 )
 from repro.core.classifier import HammingClassifier, PrototypeClassifier
 from repro.core.itemmemory import ItemMemory
@@ -199,14 +194,11 @@ __all__ = [
     "pairwise_distance",
     "pairwise_hamming",
     "HDIndex",
-    "ShardedHDIndex",
     "argmin_hamming",
     "loo_topk_hamming",
     "loo_topk_hamming_reference",
-    "shard_spans",
     "topk_hamming",
     "topk_hamming_reference",
-    "topk_hamming_sharded",
     "HammingClassifier",
     "PrototypeClassifier",
     "ItemMemory",

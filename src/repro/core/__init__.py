@@ -26,14 +26,11 @@ from repro.core.distance import (
 )
 from repro.core.search import (
     HDIndex,
-    ShardedHDIndex,
     topk_hamming,
     topk_hamming_reference,
-    topk_hamming_sharded,
     argmin_hamming,
     loo_topk_hamming,
     loo_topk_hamming_reference,
-    shard_spans,
     topk_rows,
     vote_counts,
 )
@@ -78,14 +75,11 @@ __all__ = [
     "hamming_block",
     "pairwise_hamming",
     "HDIndex",
-    "ShardedHDIndex",
     "topk_hamming",
     "topk_hamming_reference",
-    "topk_hamming_sharded",
     "argmin_hamming",
     "loo_topk_hamming",
     "loo_topk_hamming_reference",
-    "shard_spans",
     "topk_rows",
     "vote_counts",
     "normalized_pairwise_hamming",

@@ -37,12 +37,10 @@ from repro.core.hypervector import n_words, pack_bits
 from repro.core.search import (
     argmin_hamming,
     topk_hamming,
-    topk_hamming_sharded,
     topk_rows,
     vote_counts,
 )
 from repro.ml.base import BaseEstimator, ClassifierMixin
-from repro.utils.deprecation import renamed_kwargs
 from repro.utils.validation import check_positive_int, column_or_1d
 
 
@@ -84,16 +82,8 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
     chunk_rows:
         Query-tile rows for the streaming engine (and row blocking for the
         dense fallback kernel) — a memory bound, never a semantics knob.
-        (Spelled ``block_rows`` before PR 4; the old keyword still works
-        but emits a ``DeprecationWarning``.)
     tile_cols:
         Candidate-tile columns for the streaming engine.
-    shards:
-        Contiguous partitions of the training store for the sharded
-        scatter-gather engine (:func:`repro.core.search.
-        topk_hamming_sharded`).  Results are bit-identical for every
-        value; >1 is how serving pools split one store's scan.  Only
-        meaningful with ``metric="hamming"``.
     n_jobs:
         Workers for query-tile dispatch (``None``/0 defers to
         ``REPRO_WORKERS`` / ``REPRO_BACKEND``).
@@ -111,7 +101,6 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
     ``tests/core/test_search.py``.
     """
 
-    @renamed_kwargs(block_rows="chunk_rows")
     def __init__(
         self,
         dim: int = 10_000,
@@ -119,7 +108,6 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
         metric: str = "hamming",
         chunk_rows: int = 64,
         tile_cols: int = 1024,
-        shards: int = 1,
         n_jobs: Optional[int] = 1,
     ) -> None:
         self.dim = check_positive_int(dim, "dim", minimum=2)
@@ -127,7 +115,6 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
         self.metric = metric
         self.chunk_rows = check_positive_int(chunk_rows, "chunk_rows")
         self.tile_cols = check_positive_int(tile_cols, "tile_cols")
-        self.shards = check_positive_int(shards, "shards")
         self.n_jobs = n_jobs
 
     def fit(self, X, y) -> "HammingClassifier":
@@ -147,6 +134,12 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
         self.X_train_ = packed
         return self
 
+    def set_state(self, state: dict) -> "HammingClassifier":
+        # Artifacts saved before the in-process sharding engine was removed
+        # carry a ``shards`` hyper-parameter; it never changed results.
+        params = {k: v for k, v in state["params"].items() if k != "shards"}
+        return super().set_state({**state, "params": params})
+
     def decision_distances(self, X) -> np.ndarray:
         """Distance matrix from queries to every training record."""
         self._check_fitted("X_train_")
@@ -164,17 +157,6 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
         packed = coerce_packed(X, self.dim)
         k = self.n_neighbors
         if self.metric == "hamming":
-            if self.shards > 1:
-                _, idx = topk_hamming_sharded(
-                    packed,
-                    self.X_train_,
-                    k,
-                    n_shards=self.shards,
-                    chunk_rows=self.chunk_rows,
-                    tile_cols=self.tile_cols,
-                    n_jobs=self.n_jobs,
-                )
-                return idx
             _, idx = topk_hamming(
                 packed,
                 self.X_train_,
@@ -195,25 +177,13 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
             if self.metric == "hamming":
                 self._check_fitted("X_train_")
                 packed = coerce_packed(X, self.dim)
-                if self.shards > 1:
-                    _, idx2 = topk_hamming_sharded(
-                        packed,
-                        self.X_train_,
-                        1,
-                        n_shards=self.shards,
-                        chunk_rows=self.chunk_rows,
-                        tile_cols=self.tile_cols,
-                        n_jobs=self.n_jobs,
-                    )
-                    idx = idx2[:, 0]
-                else:
-                    _, idx = argmin_hamming(
-                        packed,
-                        self.X_train_,
-                        chunk_rows=self.chunk_rows,
-                        tile_cols=self.tile_cols,
-                        n_jobs=self.n_jobs,
-                    )
+                _, idx = argmin_hamming(
+                    packed,
+                    self.X_train_,
+                    chunk_rows=self.chunk_rows,
+                    tile_cols=self.tile_cols,
+                    n_jobs=self.n_jobs,
+                )
             else:
                 idx = np.argmin(self.decision_distances(X), axis=1)
             return self._decode_labels(self.y_train_[idx])

@@ -23,7 +23,6 @@ from repro.kernels import get_backend
 from repro.parallel.chunking import chunk_spans
 from repro.parallel.pool import parallel_map
 from repro.utils.contracts import checks_same_dim
-from repro.utils.deprecation import renamed_kwargs
 from repro.utils.validation import check_positive_int
 
 
@@ -75,7 +74,6 @@ def _pairwise_span(A: np.ndarray, B: np.ndarray, span: Tuple[int, int]) -> np.nd
     return _pairwise_block(A[span[0]:span[1]], B)
 
 
-@renamed_kwargs(block_rows="chunk_rows")
 @checks_same_dim("A", "B")
 def pairwise_hamming(
     A: np.ndarray,
@@ -94,9 +92,7 @@ def pairwise_hamming(
     chunk_rows:
         Rows of ``A`` processed per block; each block materialises an
         ``chunk_rows x n x words`` XOR temporary, so this bounds memory at
-        roughly ``chunk_rows * n * words * 9`` bytes.  (Spelled
-        ``block_rows`` before PR 4; the old keyword still works but emits
-        a ``DeprecationWarning``.)
+        roughly ``chunk_rows * n * words * 9`` bytes.
     n_jobs:
         Worker count for block dispatch (default 1 = serial; ``None``/``0``
         defers to the ``REPRO_WORKERS`` env var via
@@ -120,7 +116,6 @@ def pairwise_hamming(
     return np.concatenate(blocks, axis=0)
 
 
-@renamed_kwargs(block_rows="chunk_rows")
 def normalized_pairwise_hamming(
     A: np.ndarray,
     B: Optional[np.ndarray] = None,

@@ -37,9 +37,7 @@ bytes (XOR temporary + popcount bytes + int64 accumulator); the running
 state is ``O(m * k)``.  Workers process disjoint query tiles, so the bound
 scales linearly with ``n_jobs`` and nothing ever materialises ``(m, n)``.
 
-Keyword unification (PR 4): the query-tile knob is now spelled
-``chunk_rows`` everywhere; the legacy ``tile_rows`` / ``tile`` /
-``block_rows`` spellings still work through deprecation shims.
+The query-tile knob is spelled ``chunk_rows`` everywhere.
 
 Kernel dispatch (PR 7): the per-tile inner loops live in
 :mod:`repro.kernels` (``REPRO_KERNEL=numpy|native|auto``).  This module
@@ -47,16 +45,6 @@ keeps validation, obs spans, parallel fan-out, and the public API; the
 selection/merge machinery (:func:`topk_rows`,
 :func:`~repro.kernels.numpy_backend.merge_topk`) moved to the numpy
 backend and is re-exported here unchanged.
-
-Sharding (PR 9): :func:`topk_hamming_sharded` partitions the candidate
-store into contiguous shards, runs the streaming engine per shard, and
-gathers through
-:func:`~repro.kernels.numpy_backend.merge_shard_topk` — bit-identical
-to the single-shard engine including tie-break order, because shard
-spans are contiguous and ascending (see the merge's docstring for the
-argument).  :class:`ShardedHDIndex` wraps an :class:`HDIndex` with the
-same scatter-gather plan, and serving workers use it to split one
-store's scan across shards without any per-shard copies.
 """
 
 from __future__ import annotations
@@ -71,13 +59,11 @@ from repro.core.hypervector import Hypervector, n_words
 from repro.kernels import get_backend
 from repro.kernels.numpy_backend import (
     _EMPTY,
-    merge_shard_topk,
     merge_topk as _merge_topk,
     topk_rows,
 )
 from repro.obs import span
 from repro.utils.contracts import checks_packed, checks_same_dim
-from repro.utils.deprecation import renamed_kwargs
 from repro.parallel.chunking import chunk_spans
 from repro.parallel.pool import parallel_map, resolve_config
 
@@ -132,7 +118,6 @@ def _topk_span(
     )
 
 
-@renamed_kwargs(tile_rows="chunk_rows")
 @checks_same_dim("Q", "X")
 def topk_hamming(
     Q: np.ndarray,
@@ -157,9 +142,7 @@ def topk_hamming(
     chunk_rows, tile_cols:
         Query/candidate tile geometry; bounds peak memory at
         ``chunk_rows * tile_cols * (word_chunk * 9 + 8)`` bytes per worker.
-        Results are invariant to the geometry.  (``chunk_rows`` was spelled
-        ``tile_rows`` before PR 4; the old keyword still works but emits a
-        ``DeprecationWarning``.)
+        Results are invariant to the geometry.
     word_chunk:
         Words per popcount slice inside a tile (see
         :func:`repro.core.distance.hamming_block`).
@@ -200,7 +183,6 @@ def topk_hamming(
         )
 
 
-@renamed_kwargs(tile_rows="chunk_rows")
 def argmin_hamming(
     Q: np.ndarray,
     X: np.ndarray,
@@ -251,91 +233,6 @@ def topk_hamming_reference(
 
 
 # ----------------------------------------------------------------------
-# Sharded scatter-gather (PR 9)
-# ----------------------------------------------------------------------
-def shard_spans(n: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Contiguous, ascending, near-equal partition of ``range(n)``.
-
-    Produces ``min(n_shards, n)`` spans whose sizes differ by at most one
-    (the first ``n % n_shards`` spans take the extra row).  Contiguity
-    and ascending order are load-bearing: they are what lets
-    :func:`~repro.kernels.numpy_backend.merge_shard_topk` preserve the
-    global lowest-index tie-break.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    n_shards = min(n_shards, n) if n else 0
-    spans: List[Tuple[int, int]] = []
-    start = 0
-    for s in range(n_shards):
-        size = n // n_shards + (1 if s < n % n_shards else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
-@checks_same_dim("Q", "X")
-def topk_hamming_sharded(
-    Q: np.ndarray,
-    X: np.ndarray,
-    k: int,
-    *,
-    n_shards: int,
-    chunk_rows: int = TILE_ROWS,
-    tile_cols: int = TILE_COLS,
-    word_chunk: int = WORD_CHUNK,
-    n_jobs: Optional[int] = 1,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sharded :func:`topk_hamming`: scatter over store shards, gather.
-
-    The candidate store is partitioned into ``n_shards`` contiguous spans
-    (:func:`shard_spans`); each shard runs the streaming engine
-    independently (its local indices offset back to global), and the
-    per-shard results gather through
-    :func:`~repro.kernels.numpy_backend.merge_shard_topk`.  Results are
-    **bit-identical** to ``topk_hamming(Q, X, k)`` — distances, indices,
-    and tie-break order — for every shard count (pinned by
-    ``tests/core/test_sharded_search.py``).  Shards index into ``X``
-    by row-slice views, so no per-shard copy of the store is made.
-    """
-    Q = np.ascontiguousarray(Q, dtype=np.uint64)
-    X = np.asarray(X, dtype=np.uint64)
-    _check_packed_pair(Q, X)
-    if X.shape[0] == 0:
-        raise ValueError("topk_hamming needs at least one candidate row")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    k = min(k, X.shape[0])
-    spans = shard_spans(X.shape[0], n_shards)
-    with span(
-        "search.topk_sharded",
-        queries=Q.shape[0],
-        candidates=X.shape[0],
-        k=k,
-        shards=len(spans),
-    ):
-        parts = []
-        for s0, s1 in spans:
-            d, i = topk_hamming(
-                Q,
-                X[s0:s1],
-                min(k, s1 - s0),
-                chunk_rows=chunk_rows,
-                tile_cols=tile_cols,
-                word_chunk=word_chunk,
-                n_jobs=n_jobs,
-            )
-            if s0:
-                i = i + s0
-            parts.append((d, i))
-        return merge_shard_topk(parts, k)
-
-
-# ----------------------------------------------------------------------
 # Symmetric leave-one-out fast path
 # ----------------------------------------------------------------------
 def _loo_block(
@@ -361,7 +258,6 @@ def _loo_span(
     )
 
 
-@renamed_kwargs(tile="chunk_rows")
 @checks_packed("X")
 def loo_topk_hamming(
     X: np.ndarray,
@@ -384,8 +280,6 @@ def loo_topk_hamming(
     Tile pairs are visited so that every row receives its candidate tiles
     in ascending-index order, preserving the lowest-index tie-break
     contract.  Returns ``(distances, indices)`` of shape ``(n, k)``.
-    (``chunk_rows`` was spelled ``tile`` before PR 4; the old keyword
-    still works but emits a ``DeprecationWarning``.)
 
     Fused backends (``REPRO_KERNEL=native``) skip the mirrored-triangle
     walk entirely: each row span's scan runs in one compiled call with
@@ -451,7 +345,6 @@ def loo_topk_hamming(
     return best_d, best_i
 
 
-@renamed_kwargs(block_rows="chunk_rows")
 def loo_topk_hamming_reference(
     X: np.ndarray, k: int = 1, *, chunk_rows: int = 128
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -506,7 +399,6 @@ class HDIndex:
     (['a'], array([0]))
     """
 
-    @renamed_kwargs(tile_rows="chunk_rows")
     def __init__(
         self,
         dim: int,
@@ -715,65 +607,3 @@ class HDIndex:
             )
             return [self._keys[int(j)] for j in idx], d
 
-
-class ShardedHDIndex:
-    """Scatter-gather query planner over an :class:`HDIndex` store (PR 9).
-
-    Wraps a live index and answers the same ``query_topk`` /
-    ``query_argmin`` surface by partitioning the packed store into
-    ``n_shards`` contiguous slot spans, scanning each shard through the
-    streaming engine, and gathering with
-    :func:`~repro.kernels.numpy_backend.merge_shard_topk`.  Results are
-    bit-identical to the wrapped index — distances, keys, and tie-break
-    order — for every shard count (differential-tested in
-    ``tests/core/test_sharded_search.py``).
-
-    Shards are row-slice *views* of the index's store: no copy is made,
-    so a pool worker sharding an mmap-loaded index still shares the
-    artifact's physical pages.  Spans are recomputed per query, so the
-    planner tracks the underlying index as items are added or removed.
-    """
-
-    def __init__(self, index: HDIndex, n_shards: int = 1) -> None:
-        if not isinstance(index, HDIndex):
-            raise TypeError(f"index must be an HDIndex, got {type(index).__name__}")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.index = index
-        self.n_shards = n_shards
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def query_topk(
-        self, Q, k: int
-    ) -> Tuple[List[List[Hashable]], np.ndarray]:
-        """Sharded equivalent of :meth:`HDIndex.query_topk`."""
-        index = self.index
-        if not index._keys:
-            raise ValueError("query on an empty HDIndex")
-        Qp = index._coerce_queries(Q)
-        with span(
-            "index.query_topk_sharded",
-            queries=Qp.shape[0],
-            size=len(index._keys),
-            k=k,
-            shards=self.n_shards,
-        ):
-            d, idx = topk_hamming_sharded(
-                Qp,
-                index._packed,
-                k,
-                n_shards=self.n_shards,
-                chunk_rows=index.chunk_rows,
-                tile_cols=index.tile_cols,
-                word_chunk=index.word_chunk,
-                n_jobs=index.n_jobs,
-            )
-            keys = [[index._keys[int(j)] for j in row] for row in idx]
-            return keys, d
-
-    def query_argmin(self, Q) -> Tuple[List[Hashable], np.ndarray]:
-        """Sharded equivalent of :meth:`HDIndex.query_argmin`."""
-        keys, d = self.query_topk(Q, 1)
-        return [row[0] for row in keys], d[:, 0]

@@ -23,7 +23,6 @@ from repro.eval.metrics import classification_report
 from repro.ml.base import clone
 from repro.obs import span
 from repro.parallel import parallel_map
-from repro.utils.deprecation import renamed_kwargs
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_consistent_length, check_positive_int, column_or_1d
 
@@ -266,7 +265,6 @@ def _loo_result(
     return LOOResult(y_true=y.copy(), y_pred=y_pred, report=report)
 
 
-@renamed_kwargs(block_rows="chunk_rows")
 def leave_one_out_hamming(
     packed: np.ndarray,
     y: np.ndarray,
@@ -286,9 +284,7 @@ def leave_one_out_hamming(
     ``n_neighbors > 1`` the k nearest non-self records vote.  Predictions
     are bit-identical to :func:`leave_one_out_hamming_reference` (ties to
     the lowest record index); ``chunk_rows``/``n_jobs`` only change the
-    tile geometry and dispatch, never the result.  (``chunk_rows`` was
-    spelled ``block_rows`` before PR 4; the old keyword still works but
-    emits a ``DeprecationWarning``.)
+    tile geometry and dispatch, never the result.
     """
     packed, y = _loo_validate(packed, y)
     k = min(n_neighbors, packed.shape[0] - 1)
@@ -297,7 +293,6 @@ def leave_one_out_hamming(
         return _loo_result(neighbors, y, positive)
 
 
-@renamed_kwargs(block_rows="chunk_rows")
 def leave_one_out_hamming_reference(
     packed: np.ndarray,
     y: np.ndarray,

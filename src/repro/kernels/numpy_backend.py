@@ -108,33 +108,6 @@ def merge_topk(
     return vals, np.take_along_axis(cand_i, pos, axis=1)
 
 
-def merge_shard_topk(
-    parts: "list[Tuple[np.ndarray, np.ndarray]]", k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather per-shard top-k results into the global top-k (PR 9).
-
-    ``parts`` holds one ``(distances, indices)`` pair per shard, each of
-    shape ``(m, k_s)`` with **global** candidate indices, produced over a
-    contiguous partition of the candidate store and listed in ascending
-    shard order.  Because (a) every index in shard ``s`` precedes every
-    index in shard ``s+1``, (b) each shard's rows are already ascending
-    by ``(distance, index)``, and (c) :func:`topk_rows` breaks value ties
-    by *column position* with a stable in-slice sort, concatenating the
-    shards in order and selecting the k smallest reproduces the global
-    lowest-index tie-break exactly — the result is bit-identical to
-    running the single-shard engine over the whole store.
-    """
-    if not parts:
-        raise ValueError("merge_shard_topk needs at least one shard result")
-    if len(parts) == 1:
-        d, i = parts[0]
-        return d[:, :k], i[:, :k]
-    cand_d = np.concatenate([d for d, _ in parts], axis=1)
-    cand_i = np.concatenate([i for _, i in parts], axis=1)
-    vals, pos = topk_rows(cand_d, min(k, cand_d.shape[1]))
-    return vals, np.take_along_axis(cand_i, pos, axis=1)
-
-
 # ----------------------------------------------------------------------
 # Registry kernels (canonical signatures: repro.kernels.signatures)
 # ----------------------------------------------------------------------

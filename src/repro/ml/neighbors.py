@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, validate_fit_args
 from repro.parallel.chunking import chunk_spans
-from repro.utils.deprecation import renamed_kwargs
 from repro.utils.validation import check_array, check_positive_int
 
 
@@ -35,11 +34,9 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         ``"euclidean"`` (default) or ``"manhattan"``.
     chunk_rows:
         Query rows per distance block, bounding peak memory for wide
-        hypervector matrices.  (Spelled ``block_rows`` before PR 4; the
-        old keyword still works but emits a ``DeprecationWarning``.)
+        hypervector matrices.
     """
 
-    @renamed_kwargs(block_rows="chunk_rows")
     def __init__(
         self,
         n_neighbors: int = 5,

@@ -20,7 +20,7 @@ Public surface:
   :class:`~repro.serve.batcher.QueueFullError` — the batching scheduler
   and its admission-control signal.
 * ``repro-serve`` CLI (:mod:`repro.serve.cli`) — serve a
-  :mod:`repro.persist` artifact directory (``--workers/--shards/--mmap``
+  :mod:`repro.persist` artifact directory (``--workers/--mmap``
   select the pool; ``--watch-artifact`` / ``--candidate-artifact`` wire
   in the live lifecycle).
 

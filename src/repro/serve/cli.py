@@ -9,7 +9,7 @@ With ``--workers > 1`` the pre-fork pool (:mod:`repro.serve.pool`)
 serves the artifact: N processes share one ``SO_REUSEPORT`` address and
 — with ``--mmap`` — one set of physical payload pages.  The pool knobs
 also resolve from the environment (``REPRO_SERVE_WORKERS``,
-``REPRO_SERVE_SHARDS``, ``REPRO_SERVE_MMAP``); explicit flags win.
+``REPRO_SERVE_MMAP``); explicit flags win.
 
 Lifecycle flags (PR 10): ``--watch-artifact`` polls the served artifact
 directory and hot-swaps in place when its manifest sha changes;
@@ -82,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "candidate-store shards for the scatter-gather engine "
-            "(bit-identical results); default 1, env REPRO_SERVE_SHARDS"
-        ),
-    )
-    parser.add_argument(
         "--mmap", action="store_true", default=None,
         help=(
             "load artifact payloads as shared read-only memory maps; "
@@ -125,16 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift-window", type=int, default=defaults.drift_window,
         metavar="ROWS", help="soft row window for the traffic drift centroid",
     )
-    # Pre-PR-9 spellings; forwarded through resolve_serve_config's
-    # renamed_kwargs shim, which emits the DeprecationWarning.
-    parser.add_argument(
-        "--n-workers", type=int, default=None, dest="n_workers",
-        help=argparse.SUPPRESS,
-    )
-    parser.add_argument(
-        "--n-shards", type=int, default=None, dest="n_shards",
-        help=argparse.SUPPRESS,
-    )
     return parser
 
 
@@ -142,16 +125,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        pool_knobs = {}
-        if args.n_workers is not None:
-            pool_knobs["n_workers"] = args.n_workers
-        else:
-            pool_knobs["workers"] = args.workers
-        if args.n_shards is not None:
-            pool_knobs["n_shards"] = args.n_shards
-        else:
-            pool_knobs["shards"] = args.shards
         config = resolve_serve_config(
+            workers=args.workers,
             mmap=args.mmap,
             host=args.host,
             port=args.port,
@@ -167,7 +142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ab_fraction=args.ab_fraction,
             drift_threshold=args.drift_threshold,
             drift_window=args.drift_window,
-            **pool_knobs,
         )
     except ValueError as exc:
         print(f"repro-serve: error: {exc}", file=sys.stderr)
@@ -188,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"repro-serve: serving {info['kind']} "
             f"(schema v{info['schema_version']}, repro {info['repro_version']}) "
             f"on http://{host}:{port} "
-            f"[{config.workers} workers, {config.shards} shards"
+            f"[{config.workers} workers"
             f"{', mmap' if config.mmap else ''}]",
             flush=True,
         )

@@ -7,12 +7,12 @@ Pima model, where a ~5 ms batching window is invisible next to network
 latency but lets the fused encoder amortise its per-call overhead over
 dozens of rows.
 
-Pool knobs (PR 9): ``workers`` / ``shards`` / ``mmap`` configure the
-pre-fork serving pool (:mod:`repro.serve.pool`).  They resolve the same
-way ``repro.parallel``'s worker settings do — explicit argument beats
+Pool knobs: ``workers`` / ``mmap`` configure the pre-fork
+serving pool (:mod:`repro.serve.pool`).  They resolve the same way
+``repro.parallel``'s worker settings do — explicit argument beats
 environment beats default — through :func:`resolve_serve_config`, whose
-environment spellings are ``REPRO_SERVE_WORKERS``,
-``REPRO_SERVE_SHARDS`` and ``REPRO_SERVE_MMAP``.
+environment spellings are ``REPRO_SERVE_WORKERS`` and
+``REPRO_SERVE_MMAP``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
-
-from repro.utils.deprecation import renamed_kwargs
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,6 @@ class ServeConfig:
         Processes in the pre-fork pool (:class:`repro.serve.pool.
         ServePool`).  1 keeps the classic single-process server;
         >1 forks that many workers sharing one ``SO_REUSEPORT`` socket.
-    shards:
-        Contiguous partitions of the model's candidate store for the
-        sharded scatter-gather engine — forwarded to models exposing a
-        ``shards`` attribute (e.g. ``HammingClassifier``).  Results are
-        bit-identical for every value.
     mmap:
         Load the artifact's payloads as read-only memory maps
         (``load_artifact(..., mmap=True)``) so pool workers share one
@@ -107,7 +100,6 @@ class ServeConfig:
     request_timeout_s: float = 30.0
     log_requests: bool = False
     workers: int = 1
-    shards: int = 1
     mmap: bool = False
     watch_artifact: bool = False
     watch_interval_s: float = 2.0
@@ -136,8 +128,6 @@ class ServeConfig:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.watch_interval_s <= 0:
             raise ValueError(
                 f"watch_interval_s must be > 0, got {self.watch_interval_s}"
@@ -182,11 +172,9 @@ def _env_bool(name: str) -> Optional[bool]:
     raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
 
 
-@renamed_kwargs(n_workers="workers", n_shards="shards")
 def resolve_serve_config(
     *,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     mmap: Optional[bool] = None,
     **fields: Any,
 ) -> ServeConfig:
@@ -194,23 +182,18 @@ def resolve_serve_config(
 
     Mirrors :func:`repro.parallel.pool.resolve_config`: an explicit
     (non-``None``) argument wins, otherwise the matching environment
-    variable (``REPRO_SERVE_WORKERS`` / ``REPRO_SERVE_SHARDS`` /
-    ``REPRO_SERVE_MMAP``), otherwise the dataclass default.  Any other
-    :class:`ServeConfig` field passes through ``fields`` unchanged, so
-    the CLI and tests build their whole config in one call.  The legacy
-    ``n_workers`` / ``n_shards`` spellings still work but emit a
-    ``DeprecationWarning`` (via ``renamed_kwargs``).
+    variable (``REPRO_SERVE_WORKERS`` / ``REPRO_SERVE_MMAP``), otherwise
+    the dataclass default.  Any other :class:`ServeConfig` field passes
+    through ``fields`` unchanged, so the CLI and tests build their whole
+    config in one call.
     """
     if workers is None:
         workers = _env_int("REPRO_SERVE_WORKERS")
-    if shards is None:
-        shards = _env_int("REPRO_SERVE_SHARDS")
     if mmap is None:
         mmap = _env_bool("REPRO_SERVE_MMAP")
     defaults = ServeConfig()
     return ServeConfig(
         workers=defaults.workers if workers is None else workers,
-        shards=defaults.shards if shards is None else shards,
         mmap=defaults.mmap if mmap is None else mmap,
         **fields,
     )

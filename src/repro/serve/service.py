@@ -198,10 +198,6 @@ class InferenceService:
 
     def _bind_model(self, model: Any) -> None:
         """Attach serving-side hooks to a model about to become primary."""
-        if self.config.shards > 1 and hasattr(model, "shards"):
-            # Route queries through the sharded scatter-gather engine;
-            # bit-identical results, see repro.core.search.
-            model.shards = self.config.shards
         if self._drift is not None and hasattr(model, "feature_hook"):
             # The pipeline hands every encoded batch to the drift
             # accumulator — drift costs nothing HDC has not already paid.
@@ -552,7 +548,6 @@ class InferenceService:
             "queue_size": self.config.queue_size,
             "kernel_backend": active_backend(),
             "workers": self.config.workers,
-            "shards": self.config.shards,
             "artifact_sha": self.artifact_sha,
             "generation": self.generation,
             "lifecycle": self._lifecycle.describe(),

@@ -1,30 +1,14 @@
-"""The blessed public surface: repro.api resolution + kwarg unification.
+"""The blessed public surface: repro.api resolution.
 
-Two contracts:
-
-* every symbol in ``repro.api.__all__`` imports, and is the *same object*
-  as in its defining module (so signatures cannot drift);
-* the legacy keyword spellings (``tile_rows``, ``tile``, ``block_rows``)
-  still work everywhere, emit exactly one ``DeprecationWarning``, and
-  produce bit-identical results to the unified ``chunk_rows`` spelling.
+Every symbol in ``repro.api.__all__`` imports, and is the *same object*
+as in its defining module (so signatures cannot drift).
 """
 
 import importlib
-import warnings
 
-import numpy as np
 import pytest
 
 import repro.api as api
-from repro.core.hypervector import random_packed
-
-
-@pytest.fixture(scope="module")
-def packed_batch():
-    X = random_packed(40, 256, seed=42)
-    Q = random_packed(8, 256, seed=43)
-    y = np.random.default_rng(44).integers(0, 2, size=40)
-    return Q, X, y
 
 
 class TestSurface:
@@ -72,85 +56,3 @@ class TestSurface:
         assert api.obs.span is not None
         assert api.obs.REGISTRY is not None
 
-
-def _one_warning(record):
-    deprecations = [w for w in record if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, [str(w.message) for w in record]
-
-
-class TestLegacyKwargs:
-    def test_topk_hamming_tile_rows(self, packed_batch):
-        Q, X, _ = packed_batch
-        want_d, want_i = api.topk_hamming(Q, X, k=3, chunk_rows=4)
-        with pytest.warns(DeprecationWarning, match="tile_rows") as rec:
-            got_d, got_i = api.topk_hamming(Q, X, k=3, tile_rows=4)
-        _one_warning(rec)
-        np.testing.assert_array_equal(want_d, got_d)
-        np.testing.assert_array_equal(want_i, got_i)
-
-    def test_argmin_hamming_tile_rows(self, packed_batch):
-        Q, X, _ = packed_batch
-        want = api.argmin_hamming(Q, X, chunk_rows=4)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            got = api.argmin_hamming(Q, X, tile_rows=4)
-        np.testing.assert_array_equal(want, got)
-
-    def test_loo_topk_hamming_tile(self, packed_batch):
-        _, X, _ = packed_batch
-        want_d, want_i = api.loo_topk_hamming(X, 2, chunk_rows=5)
-        with pytest.warns(DeprecationWarning, match="'tile'"):
-            got_d, got_i = api.loo_topk_hamming(X, 2, tile=5)
-        np.testing.assert_array_equal(want_d, got_d)
-        np.testing.assert_array_equal(want_i, got_i)
-
-    def test_pairwise_hamming_block_rows(self, packed_batch):
-        Q, X, _ = packed_batch
-        want = api.pairwise_hamming(Q, X, chunk_rows=8)
-        with pytest.warns(DeprecationWarning, match="block_rows"):
-            got = api.pairwise_hamming(Q, X, block_rows=8)
-        np.testing.assert_array_equal(want, got)
-
-    def test_hamming_classifier_block_rows(self, packed_batch):
-        Q, X, y = packed_batch
-        base = api.HammingClassifier(dim=256, n_neighbors=3, chunk_rows=7).fit(X, y)
-        with pytest.warns(DeprecationWarning, match="block_rows"):
-            legacy = api.HammingClassifier(
-                dim=256, n_neighbors=3, block_rows=7
-            ).fit(X, y)
-        assert legacy.chunk_rows == 7
-        np.testing.assert_array_equal(base.predict(Q), legacy.predict(Q))
-
-    def test_hdindex_tile_rows(self, packed_batch):
-        _, X, _ = packed_batch
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            idx = api.HDIndex(dim=256, tile_rows=16)
-        assert idx.chunk_rows == 16
-
-    def test_kneighbors_block_rows(self):
-        rng = np.random.default_rng(0)
-        Xd = rng.normal(size=(30, 4))
-        yd = (Xd[:, 0] > 0).astype(int)
-        base = api.KNeighborsClassifier(n_neighbors=3, chunk_rows=8).fit(Xd, yd)
-        with pytest.warns(DeprecationWarning, match="block_rows"):
-            legacy = api.KNeighborsClassifier(n_neighbors=3, block_rows=8).fit(Xd, yd)
-        np.testing.assert_array_equal(base.predict(Xd), legacy.predict(Xd))
-
-    def test_leave_one_out_hamming_block_rows(self, packed_batch):
-        _, X, y = packed_batch
-        want = api.leave_one_out_hamming(X, y, chunk_rows=9)
-        with pytest.warns(DeprecationWarning, match="block_rows"):
-            got = api.leave_one_out_hamming(X, y, block_rows=9)
-        np.testing.assert_array_equal(want.y_pred, got.y_pred)
-
-    def test_both_spellings_rejected(self, packed_batch):
-        Q, X, _ = packed_batch
-        with pytest.raises(TypeError, match="tile_rows"):
-            api.topk_hamming(Q, X, k=1, tile_rows=4, chunk_rows=4)
-
-    def test_clone_round_trips_renamed_params(self):
-        # get_params/clone must see the unified spelling.
-        clf = api.HammingClassifier(dim=256, n_neighbors=5, chunk_rows=13)
-        cloned = api.clone(clf)
-        assert cloned.chunk_rows == 13
-        assert "chunk_rows" in clf.get_params()
-        assert "block_rows" not in clf.get_params()

@@ -42,17 +42,17 @@ class TestPairwiseHamming:
         D = pairwise_hamming(pack_bits(a))
         assert np.array_equal(D, D.T)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 100])
-    def test_blocking_invariance(self, bits_pair, block_rows):
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 100])
+    def test_blocking_invariance(self, bits_pair, chunk_rows):
         a, b = bits_pair
-        ref = pairwise_hamming(pack_bits(a), pack_bits(b), block_rows=64)
-        D = pairwise_hamming(pack_bits(a), pack_bits(b), block_rows=block_rows)
+        ref = pairwise_hamming(pack_bits(a), pack_bits(b), chunk_rows=64)
+        D = pairwise_hamming(pack_bits(a), pack_bits(b), chunk_rows=chunk_rows)
         assert np.array_equal(D, ref)
 
     def test_parallel_blocks_match_serial(self, bits_pair):
         a, b = bits_pair
         ref = pairwise_hamming(pack_bits(a), pack_bits(b), n_jobs=1)
-        par = pairwise_hamming(pack_bits(a), pack_bits(b), block_rows=2, n_jobs=3)
+        par = pairwise_hamming(pack_bits(a), pack_bits(b), chunk_rows=2, n_jobs=3)
         assert np.array_equal(ref, par)
 
     def test_empty_left_operand(self):

@@ -33,6 +33,15 @@ def _tied_batch(rng, n, words, vocab=4):
     return rng.integers(0, vocab, (n, words)).astype(np.uint64)
 
 
+def _duplicate_store(rng):
+    """Store of 300 rows drawn from 40 distinct ones, plus exact-hit queries."""
+    base = rng.integers(0, 2**64, size=(40, 8), dtype=np.uint64)
+    X = base[rng.integers(0, 40, size=300)]
+    Q = rng.integers(0, 2**64, size=(17, 8), dtype=np.uint64)
+    Q[:5] = X[:5]  # distance-0 ties against duplicated rows
+    return Q, X
+
+
 def _stable_topk(D, k):
     idx = np.argsort(D, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(D, idx, axis=1), idx
@@ -96,10 +105,16 @@ class TestTopkHamming:
                 Q,
                 X,
                 k,
-                tile_rows=int(rng.integers(1, 8)),
+                chunk_rows=int(rng.integers(1, 8)),
                 tile_cols=int(rng.integers(1, 8)),
                 word_chunk=int(rng.integers(1, 4)),
             )
+            rd, ri = topk_hamming_reference(Q, X, k)
+            assert np.array_equal(d, rd)
+            assert np.array_equal(i, ri)
+        Q, X = _duplicate_store(rng)
+        for k in (1, 3, 17):
+            d, i = topk_hamming(Q, X, k)
             rd, ri = topk_hamming_reference(Q, X, k)
             assert np.array_equal(d, rd)
             assert np.array_equal(i, ri)
@@ -109,20 +124,20 @@ class TestTopkHamming:
         Q, X = _tied_batch(rng, 17, 3), _tied_batch(rng, 41, 3)
         base = topk_hamming(Q, X, 5)
         for tr, tc, wc in [(1, 1, 1), (4, 7, 2), (64, 64, 8), (17, 41, 3)]:
-            d, i = topk_hamming(Q, X, 5, tile_rows=tr, tile_cols=tc, word_chunk=wc)
+            d, i = topk_hamming(Q, X, 5, chunk_rows=tr, tile_cols=tc, word_chunk=wc)
             assert np.array_equal(d, base[0]) and np.array_equal(i, base[1])
 
     def test_n_jobs_invariance(self):
         rng = np.random.default_rng(4)
         Q, X = _tied_batch(rng, 23, 2), _tied_batch(rng, 31, 2)
-        d1, i1 = topk_hamming(Q, X, 3, tile_rows=4, n_jobs=1)
-        d2, i2 = topk_hamming(Q, X, 3, tile_rows=4, n_jobs=3)
+        d1, i1 = topk_hamming(Q, X, 3, chunk_rows=4, n_jobs=1)
+        d2, i2 = topk_hamming(Q, X, 3, chunk_rows=4, n_jobs=3)
         assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
 
     def test_argmin_matches_topk_first_column(self):
         rng = np.random.default_rng(5)
         Q, X = _tied_batch(rng, 9, 2), _tied_batch(rng, 33, 2)
-        d, i = argmin_hamming(Q, X, tile_rows=3, tile_cols=5)
+        d, i = argmin_hamming(Q, X, chunk_rows=3, tile_cols=5)
         rd, ri = topk_hamming_reference(Q, X, 1)
         assert np.array_equal(d, rd[:, 0]) and np.array_equal(i, ri[:, 0])
 
@@ -146,18 +161,18 @@ class TestTopkHamming:
         words=st.integers(1, 3),
         k=st.integers(1, 40),
         vocab=st.integers(1, 8),
-        tile_rows=st.integers(1, 9),
+        chunk_rows=st.integers(1, 9),
         tile_cols=st.integers(1, 9),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
     def test_property_bit_identical(
-        self, n, m, words, k, vocab, tile_rows, tile_cols, seed
+        self, n, m, words, k, vocab, chunk_rows, tile_cols, seed
     ):
         rng = np.random.default_rng(seed)
         Q = _tied_batch(rng, m, words, vocab)
         X = _tied_batch(rng, n, words, vocab)
-        d, i = topk_hamming(Q, X, k, tile_rows=tile_rows, tile_cols=tile_cols)
+        d, i = topk_hamming(Q, X, k, chunk_rows=chunk_rows, tile_cols=tile_cols)
         rd, ri = topk_hamming_reference(Q, X, k)
         assert np.array_equal(d, rd)
         assert np.array_equal(i, ri)
@@ -176,7 +191,7 @@ class TestLooTopkHamming:
             k = int(rng.integers(1, n + 1))  # may exceed n-1: clamped
             X = _tied_batch(rng, n, words)
             d, i = loo_topk_hamming(
-                X, k, tile=int(rng.integers(1, 10)), word_chunk=int(rng.integers(1, 4))
+                X, k, chunk_rows=int(rng.integers(1, 10)), word_chunk=int(rng.integers(1, 4))
             )
             rd, ri = loo_topk_hamming_reference(X, k)
             assert np.array_equal(d, rd)
@@ -185,7 +200,7 @@ class TestLooTopkHamming:
     def test_never_returns_self(self):
         rng = np.random.default_rng(9)
         X = _tied_batch(rng, 35, 2)
-        _, i = loo_topk_hamming(X, 34, tile=6)
+        _, i = loo_topk_hamming(X, 34, chunk_rows=6)
         assert not np.any(i == np.arange(35)[:, None])
 
     def test_n_jobs_and_tile_invariance(self):
@@ -193,7 +208,7 @@ class TestLooTopkHamming:
         X = _tied_batch(rng, 47, 3)
         base = loo_topk_hamming(X, 4)
         for tile, n_jobs in [(1, 1), (5, 2), (16, 3), (64, 1)]:
-            d, i = loo_topk_hamming(X, 4, tile=tile, n_jobs=n_jobs)
+            d, i = loo_topk_hamming(X, 4, chunk_rows=tile, n_jobs=n_jobs)
             assert np.array_equal(d, base[0]) and np.array_equal(i, base[1])
 
     def test_reference_keeps_integer_dtype(self):
@@ -207,14 +222,14 @@ class TestLooTopkHamming:
         words=st.integers(1, 3),
         k=st.integers(1, 6),
         vocab=st.integers(1, 8),
-        tile=st.integers(1, 11),
+        chunk_rows=st.integers(1, 11),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
-    def test_property_bit_identical(self, n, words, k, vocab, tile, seed):
+    def test_property_bit_identical(self, n, words, k, vocab, chunk_rows, seed):
         rng = np.random.default_rng(seed)
         X = _tied_batch(rng, n, words, vocab)
-        d, i = loo_topk_hamming(X, k, tile=tile)
+        d, i = loo_topk_hamming(X, k, chunk_rows=chunk_rows)
         rd, ri = loo_topk_hamming_reference(X, k)
         assert np.array_equal(d, rd)
         assert np.array_equal(i, ri)
@@ -233,7 +248,7 @@ class TestHDIndex:
 
     def test_add_query_roundtrip(self):
         rng = np.random.default_rng(0)
-        index = HDIndex(dim=128, tile_rows=3, tile_cols=4)
+        index = HDIndex(dim=128, chunk_rows=3, tile_cols=4)
         vecs = _tied_batch(rng, 12, 2)
         index.add_batch([f"k{i}" for i in range(12)], vecs)
         assert len(index) == 12 and "k3" in index
@@ -298,7 +313,7 @@ class TestHDIndex:
 
     def test_interleaved_add_remove_stress(self):
         rng = np.random.default_rng(4)
-        index = HDIndex(dim=64, tile_rows=2, tile_cols=3)
+        index = HDIndex(dim=64, chunk_rows=2, tile_cols=3)
         live = {}
         for step in range(200):
             if live and rng.random() < 0.3:
@@ -320,6 +335,32 @@ class TestHDIndex:
             ref_keys, ref_d = self._brute(index, Q, k)
             assert keys == ref_keys and np.array_equal(dists, ref_d)
 
+    @staticmethod
+    def _state(packed):
+        state = HDIndex(dim=512).get_state()
+        state["keys"] = list(range(len(packed)))
+        state["packed"] = packed
+        return state
+
+    def test_set_state_adopts_store_without_copy(self, rng):
+        packed = rng.integers(0, 2**64, size=(20, 8), dtype=np.uint64)
+        index = HDIndex(dim=512).set_state(self._state(packed))
+        assert index._buf is packed  # adopted, not copied
+        keys, _ = index.query_argmin(packed[3:4])
+        assert keys == [3]
+
+    def test_adopted_readonly_store_promotes_on_write(self, rng):
+        packed = rng.integers(0, 2**64, size=(20, 8), dtype=np.uint64)
+        packed.setflags(write=False)
+        index = HDIndex(dim=512).set_state(self._state(packed))
+        assert not index._buf.flags.writeable
+        index.add(99, np.zeros(8, dtype=np.uint64))  # must not raise
+        assert index._buf.flags.writeable
+        assert len(index) == 21
+        # The adopted source array is untouched by the private copy.
+        assert not packed.flags.writeable
+        assert 99 in index
+
 
 # ----------------------------------------------------------------------
 # Rewired consumers stay bit-identical to their dense references
@@ -333,7 +374,7 @@ class TestRewiredConsumers:
         y = rng.integers(0, 3, 40)
         Q = _tied_batch(rng, 15, 2)
         clf = HammingClassifier(
-            dim=dim, n_neighbors=k, block_rows=7, tile_cols=5
+            dim=dim, n_neighbors=k, chunk_rows=7, tile_cols=5
         ).fit(X_train, y)
         assert np.array_equal(clf.predict(Q), clf.predict_reference(Q))
         assert np.array_equal(clf.predict_proba(Q), clf.predict_proba_reference(Q))
@@ -385,7 +426,7 @@ class TestRewiredConsumers:
         X = _tied_batch(rng, 50, 2)
         y = rng.integers(0, 2, 50)
         for k in (1, 5):
-            fast = leave_one_out_hamming(X, y, n_neighbors=k, block_rows=9)
+            fast = leave_one_out_hamming(X, y, n_neighbors=k, chunk_rows=9)
             ref = leave_one_out_hamming_reference(X, y, n_neighbors=k)
             assert np.array_equal(fast.y_pred, ref.y_pred)
             assert fast.report == ref.report

@@ -190,8 +190,8 @@ class TestLeaveOneOutHamming:
 
     def test_block_invariance(self, encoded):
         packed, y = encoded
-        a = leave_one_out_hamming(packed, y, block_rows=7)
-        b = leave_one_out_hamming(packed, y, block_rows=128)
+        a = leave_one_out_hamming(packed, y, chunk_rows=7)
+        b = leave_one_out_hamming(packed, y, chunk_rows=128)
         assert np.array_equal(a.y_pred, b.y_pred)
 
     def test_length_mismatch(self, encoded):

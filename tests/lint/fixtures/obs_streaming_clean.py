@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.obs import span
 from repro.parallel import parallel_map
-from repro.utils.deprecation import renamed_kwargs
+from repro.utils.contracts import checks_packed
 
 
 def _tile_sorted(args):
@@ -17,7 +17,7 @@ def _tile_sorted(args):
     return np.sort(X[start:stop], axis=1)
 
 
-@renamed_kwargs(tile_rows="chunk_rows")
+@checks_packed("X")
 def topk_tiles(X, k, *, chunk_rows=128, n_jobs=1):
     tiles = [
         (start, min(start + chunk_rows, X.shape[0]))

@@ -36,8 +36,8 @@ class TestKNN:
 
     def test_block_rows_invariance(self, toy_binary_problem):
         X, y = toy_binary_problem
-        big = KNeighborsClassifier(block_rows=1000).fit(X, y).predict(X)
-        small = KNeighborsClassifier(block_rows=7).fit(X, y).predict(X)
+        big = KNeighborsClassifier(chunk_rows=1000).fit(X, y).predict(X)
+        small = KNeighborsClassifier(chunk_rows=7).fit(X, y).predict(X)
         assert np.array_equal(big, small)
 
     def test_distance_weights_exact_match_dominates(self, rng):

@@ -55,27 +55,27 @@ class TestResolveConfig:
 
 class TestPairwiseHammingEnvRoundTrip:
     def test_env_workers_same_result(self, monkeypatch, packed):
-        serial = pairwise_hamming(packed, block_rows=8, n_jobs=1)
+        serial = pairwise_hamming(packed, chunk_rows=8, n_jobs=1)
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert np.array_equal(
-            pairwise_hamming(packed, block_rows=8, n_jobs=None), serial
+            pairwise_hamming(packed, chunk_rows=8, n_jobs=None), serial
         )
 
     def test_env_serial_backend(self, monkeypatch, packed):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        serial = pairwise_hamming(packed, block_rows=8, n_jobs=1)
+        serial = pairwise_hamming(packed, chunk_rows=8, n_jobs=1)
         assert np.array_equal(
-            pairwise_hamming(packed, block_rows=8, n_jobs=None), serial
+            pairwise_hamming(packed, chunk_rows=8, n_jobs=None), serial
         )
 
     def test_env_processes_backend_picklable(self, monkeypatch, packed):
         """The block dispatch must survive pickling under processes."""
         monkeypatch.setenv("REPRO_BACKEND", "processes")
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        serial = pairwise_hamming(packed, block_rows=16, n_jobs=1)
+        serial = pairwise_hamming(packed, chunk_rows=16, n_jobs=1)
         assert np.array_equal(
-            pairwise_hamming(packed, block_rows=16, n_jobs=None), serial
+            pairwise_hamming(packed, chunk_rows=16, n_jobs=None), serial
         )
 
     def test_invalid_env_workers_propagates(self, monkeypatch, packed):

@@ -72,6 +72,22 @@ def test_hdc_pipeline_round_trip(tmp_path, pima_r, estimator_factory):
     assert loaded.n_features_in_ == pipe.n_features_in_
 
 
+def test_artifact_with_removed_shards_param_still_loads(
+    tmp_path, pima_r, fitted_encoder
+):
+    """Artifacts written while HammingClassifier took ``shards`` load unchanged."""
+    packed = fitted_encoder.transform(pima_r.X)
+    clf = HammingClassifier(dim=DIM).fit(packed, pima_r.y)
+    path = save_artifact(clf, tmp_path / "hamming")
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["state"]["state"]["items"]["params"]["items"]["shards"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = load_artifact(path)
+    assert "shards" not in loaded.get_params()
+    np.testing.assert_array_equal(loaded.predict(packed), clf.predict(packed))
+
+
 def test_hybrid_pipeline_round_trip(tmp_path, pima_r):
     pipe = _pipeline(pima_r, LogisticRegression(max_iter=200))
     save_artifact(pipe, tmp_path / "hybrid")

@@ -47,6 +47,14 @@ def test_artifact_flag_is_required(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--shards", "--n-shards", "--n-workers"])
+def test_removed_pool_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["--artifact", "x", flag, "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_artifact_is_exit_2(tmp_path, capsys):
     assert main(["--artifact", str(tmp_path / "nope")]) == 2
     assert "error" in capsys.readouterr().err

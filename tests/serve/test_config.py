@@ -1,4 +1,4 @@
-"""ServeConfig pool knobs: env resolution, validation, renamed spellings."""
+"""ServeConfig pool knobs: env resolution and validation."""
 
 from __future__ import annotations
 
@@ -10,11 +10,10 @@ from repro.serve import ServeConfig, resolve_serve_config
 def test_defaults_are_single_process():
     config = ServeConfig()
     assert config.workers == 1
-    assert config.shards == 1
     assert config.mmap is False
 
 
-@pytest.mark.parametrize("field,value", [("workers", 0), ("shards", -1)])
+@pytest.mark.parametrize("field,value", [("workers", 0)])
 def test_pool_knobs_validate(field, value):
     with pytest.raises(ValueError):
         ServeConfig(**{field: value})
@@ -22,11 +21,9 @@ def test_pool_knobs_validate(field, value):
 
 def test_env_defaults_apply(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
-    monkeypatch.setenv("REPRO_SERVE_SHARDS", "2")
     monkeypatch.setenv("REPRO_SERVE_MMAP", "true")
     config = resolve_serve_config()
     assert config.workers == 4
-    assert config.shards == 2
     assert config.mmap is True
 
 
@@ -61,23 +58,6 @@ def test_other_fields_pass_through():
     assert config.workers == 2
 
 
-# -- pre-PR-9 spellings ------------------------------------------------
-
-
-def test_renamed_kwargs_warn_and_forward():
-    with pytest.deprecated_call(match="n_workers"):
-        config = resolve_serve_config(n_workers=3)
-    assert config.workers == 3
-    with pytest.deprecated_call(match="n_shards"):
-        config = resolve_serve_config(n_shards=2)
-    assert config.shards == 2
-
-
-def test_both_spellings_is_an_error():
-    with pytest.raises(TypeError):
-        resolve_serve_config(n_workers=3, workers=2)
-
-
 def test_facade_re_exports_pool_surface():
     import repro.api as api
 
@@ -86,8 +66,6 @@ def test_facade_re_exports_pool_surface():
         "ServePool",
         "verify_artifact",
         "artifact_sha",
-        "ShardedHDIndex",
-        "topk_hamming_sharded",
     ):
         assert hasattr(api, name), f"repro.api is missing {name}"
         assert name in api.__all__

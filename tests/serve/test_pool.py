@@ -43,7 +43,7 @@ def artifact(model, tmp_path_factory):
 
 
 def _config(**overrides):
-    base = dict(port=0, workers=N_WORKERS, shards=2, mmap=True)
+    base = dict(port=0, workers=N_WORKERS, mmap=True)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -151,7 +151,7 @@ def test_pool_rejects_bad_artifact(tmp_path):
 
 
 def test_single_worker_pool_works(artifact, pima_r):
-    with ServePool(artifact, _config(workers=1, shards=1)) as pool:
+    with ServePool(artifact, _config(workers=1)) as pool:
         status, body = _post(
             pool.url + "/v1/predict", {"rows": pima_r.X[:1].tolist()}
         )
