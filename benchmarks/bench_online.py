@@ -14,7 +14,7 @@ in the streaming path are caught:
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineHDClassifier
+from repro.core.classifier import PrototypeClassifier
 from repro.eval.experiments import encode_dataset
 
 
@@ -33,7 +33,7 @@ def test_prequential_stream(benchmark, config, stream):
     batch = 40
 
     def run():
-        clf = OnlineHDClassifier(dim=config.dim).fit(H[:n_init], y[:n_init])
+        clf = PrototypeClassifier(dim=config.dim).fit(H[:n_init], y[:n_init])
         accs = []
         for start in range(n_init, len(y), batch):
             stop = min(start + batch, len(y))
@@ -50,7 +50,7 @@ def test_prequential_stream(benchmark, config, stream):
 
 def test_partial_fit_throughput(benchmark, config, stream):
     H, y = stream
-    clf = OnlineHDClassifier(dim=config.dim).fit(H[:100], y[:100])
+    clf = PrototypeClassifier(dim=config.dim).fit(H[:100], y[:100])
     chunk = H[100:200], y[100:200]
     benchmark(lambda: clf.partial_fit(*chunk))
 
@@ -59,7 +59,7 @@ def test_retraining_gain(benchmark, config, stream):
     H, y = stream
 
     def run():
-        clf = OnlineHDClassifier(dim=config.dim).fit(H, y)
+        clf = PrototypeClassifier(dim=config.dim).fit(H, y)
         before = clf.score(H, y)
         clf.retrain(H, y, epochs=8)
         return before, clf.score(H, y)

@@ -7,7 +7,7 @@ reach deployment.  HDC supports this naturally: class hypervectors are
 *sums*, so absorbing a new confirmed case is one vector addition — no
 refit.  This example:
 
-1. bootstraps an :class:`OnlineHDClassifier` from a small initial cohort
+1. bootstraps a :class:`PrototypeClassifier` from a small initial cohort
    (first 40% of the synthetic Sylhet data, simulating an early clinic);
 2. streams the remaining patients in monthly batches, measuring accuracy
    on each *incoming* batch before absorbing it (prequential evaluation);
@@ -20,8 +20,7 @@ import os
 
 import numpy as np
 
-from repro.core import RecordEncoder
-from repro.core.online import OnlineHDClassifier
+from repro.core import PrototypeClassifier, RecordEncoder
 from repro.data import load_sylhet
 
 FAST = bool(os.environ.get("REPRO_EXAMPLE_FAST"))
@@ -40,7 +39,7 @@ def main() -> None:
     H = encoder.transform(X)
 
     n_init = int(0.4 * ds.n_samples)
-    clf = OnlineHDClassifier(dim=DIM).fit(H[:n_init], y[:n_init])
+    clf = PrototypeClassifier(dim=DIM).fit(H[:n_init], y[:n_init])
     print(
         f"Bootstrapped on {n_init} patients "
         f"({int(y[:n_init].sum())} positive); streaming the rest in "

@@ -60,7 +60,6 @@ from repro.core.search import (
 )
 from repro.core.classifier import HammingClassifier, PrototypeClassifier
 from repro.core.itemmemory import ItemMemory
-from repro.core.online import OnlineHDClassifier
 
 # --- ml: the paper's comparison models ----------------------------------
 from repro.ml import (
@@ -202,7 +201,6 @@ __all__ = [
     "HammingClassifier",
     "PrototypeClassifier",
     "ItemMemory",
-    "OnlineHDClassifier",
     # ml models
     "CatBoostClassifier",
     "DecisionTreeClassifier",

@@ -50,7 +50,6 @@ from repro.core.bundling import (
 from repro.core.records import FeatureSpec, RecordEncoder, infer_feature_specs
 from repro.core.itemmemory import ItemMemory
 from repro.core.classifier import HammingClassifier, PrototypeClassifier, coerce_packed
-from repro.core.online import OnlineHDClassifier
 from repro.core import bipolar
 from repro.core.spaces import HypervectorSpace
 from repro.core.sequence import NGramEncoder, permute
@@ -101,7 +100,6 @@ __all__ = [
     "HammingClassifier",
     "PrototypeClassifier",
     "coerce_packed",
-    "OnlineHDClassifier",
     "bipolar",
     "HypervectorSpace",
     "NGramEncoder",

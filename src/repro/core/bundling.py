@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.hypervector import pack_bits, unpack_bits
+from repro.core.hypervector import n_words, pack_bits, unpack_bits
 from repro.kernels import get_backend
 from repro.obs import span
 from repro.utils.rng import SeedLike, as_generator
@@ -127,7 +127,9 @@ def majority_vote_counts(
             f"packed_stack must be (n, m, words), got shape {packed_stack.shape}"
         )
     check_positive_int(dim, "dim")
-    n, m, _ = packed_stack.shape
+    n, m, words = packed_stack.shape
+    if words != n_words(dim):
+        raise ValueError(f"packed_stack has {words} words; dim {dim} needs {n_words(dim)}")
     if out is None:
         out = np.zeros((n, dim), dtype=vote_count_dtype(m))
     elif out.shape != (n, dim):

@@ -1,4 +1,4 @@
-"""Pure-HDC classifiers (S4) — §II-C's Hamming-distance model.
+"""Pure-HDC classifiers (S4, S17) — §II-C's Hamming-distance model.
 
 Two models:
 
@@ -7,10 +7,11 @@ Two models:
   neighbour under Hamming distance (``n_neighbors=1`` default; k-NN
   voting is an optional extension).
 * :class:`PrototypeClassifier` — the classic HDC "class hypervector"
-  variant (Kleyko et al.): bundle all training vectors of one class into a
-  single prototype with majority vote, then classify by nearest prototype.
-  Mentioned-adjacent in the HDC literature the paper builds on; included
-  as an extension and ablation baseline.
+  variant (Kleyko et al.): one integer bit-count accumulator per class,
+  majority-thresholded into a prototype; classify by nearest prototype.
+  The accumulators make it incremental — ``partial_fit`` absorbs
+  follow-up records (the §III-B "self-improving" loop) and ``retrain``
+  runs perceptron-style epochs.  An extension and ablation baseline.
 
 Both accept either packed ``(n, words)`` uint64 batches (native) or dense
 0/1 matrices (auto-packed), so they slot into the same evaluation grid as
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bundling import majority_vote
+from repro.core.bundling import majority_from_counts, majority_vote_counts
 from repro.core.distance import pairwise_distance, pairwise_hamming
 from repro.core.hypervector import n_words, pack_bits
 from repro.core.search import (
@@ -40,7 +41,7 @@ from repro.core.search import (
     topk_rows,
     vote_counts,
 )
-from repro.ml.base import BaseEstimator, ClassifierMixin
+from repro.ml.base import BaseEstimator, ClassifierMixin, NotFittedError
 from repro.utils.validation import check_positive_int, column_or_1d
 
 
@@ -221,43 +222,184 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
 
 
 class PrototypeClassifier(BaseEstimator, ClassifierMixin):
-    """Bundle-per-class HDC classifier (extension beyond the paper).
+    """Class-hypervector HDC classifier with incremental updates.
 
-    Training bundles all hypervectors of each class into one prototype by
-    bitwise majority; inference is nearest-prototype in Hamming space.
-    O(1) memory per class and a single distance row per query — the
-    cheapest possible HDC model, a useful lower anchor in ablations.
+    Each class keeps one integer accumulator: the per-bit count of set
+    bits over its member records, plus the number of records.  The packed
+    prototype is the majority threshold of that accumulator (the paper's
+    bundling rule), derived once whenever the accumulators change, and
+    inference is nearest-prototype in Hamming space — O(1) memory per
+    class and a single distance row per query.
+
+    Parameters
+    ----------
+    dim:
+        Hypervector dimensionality.
+    tie:
+        Threshold rule when a bit count exactly halves the class's record
+        count: ``"one"`` (the paper's majority rule) or ``"zero"``.
+
+    Notes
+    -----
+    ``partial_fit`` absorbs more labelled records (the §III-B follow-up
+    loop); ``retrain`` runs perceptron-style epochs (Imani et al.): each
+    misclassified record is added to its true class and subtracted from
+    the predicted one.
     """
 
     def __init__(self, dim: int = 10_000, tie: str = "one") -> None:
         self.dim = check_positive_int(dim, "dim", minimum=2)
+        if tie not in ("one", "zero"):
+            raise ValueError(f"tie must be 'one' or 'zero', got {tie!r}")
         self.tie = tie
 
     def fit(self, X, y) -> "PrototypeClassifier":
-        packed = coerce_packed(X, self.dim)
-        y = column_or_1d(y)
-        if packed.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {packed.shape[0]} rows but y has {y.shape[0]}")
+        """Reset the accumulators and absorb the batch."""
+        packed, y = self._check_batch(X, y)
         encoded = self._encode_labels(y)
-        prototypes = []
-        for c in range(self.classes_.size):
-            members = packed[encoded == c]
-            prototypes.append(majority_vote(members, self.dim, tie=self.tie))
-        self.prototypes_ = np.stack(prototypes)
+        self._counts = np.zeros((self.classes_.size, self.dim), dtype=np.int64)
+        self._n = np.zeros(self.classes_.size, dtype=np.int64)
+        return self._absorb(packed, encoded)
+
+    def partial_fit(self, X, y) -> "PrototypeClassifier":
+        """Absorb more records; every label must be known from ``fit``."""
+        self._check_fitted("_counts")
+        packed, y = self._check_batch(X, y)
+        return self._absorb(packed, self._class_index(y))
+
+    def retrain(self, X, y, *, epochs: int = 5) -> "PrototypeClassifier":
+        """Perceptron-style HDC retraining on misclassified records.
+
+        Each epoch adds the bits of every record the current prototypes
+        misclassify to its true class and subtracts them from the
+        predicted class; accumulators are clamped at zero and record
+        counts at one.  Stops early once an epoch is error-free.
+        """
+        check_positive_int(epochs, "epochs")
+        self._check_ready()
+        packed, y = self._check_batch(X, y)
+        true = self._class_index(y)
+        self.retrain_errors_: list[int] = []
+        for _ in range(epochs):
+            _, pred = argmin_hamming(packed, self.prototypes_)
+            wrong = np.flatnonzero(pred != true)
+            self.retrain_errors_.append(int(wrong.size))
+            if wrong.size == 0:
+                break
+            for c in range(self.classes_.size):
+                gained = packed[wrong[true[wrong] == c]]
+                lost = packed[wrong[pred[wrong] == c]]
+                majority_vote_counts(gained[None], self.dim, out=self._counts[c : c + 1])
+                self._counts[c] -= majority_vote_counts(
+                    lost[None], self.dim, out=np.zeros((1, self.dim), dtype=np.int64)
+                )[0]
+            for t, p in zip(true[wrong], pred[wrong]):
+                self._n[t] += 1
+                self._n[p] = max(1, self._n[p] - 1)
+            np.maximum(self._counts, 0, out=self._counts)
+            self._threshold()
         return self
 
+    @property
+    def class_counts_(self) -> np.ndarray:
+        """Records absorbed per class (affected by retraining updates)."""
+        self._check_fitted("_counts")
+        return self._n.copy()
+
     def predict(self, X) -> np.ndarray:
-        self._check_fitted("prototypes_")
+        self._check_ready()
         packed = coerce_packed(X, self.dim)
         _, idx = argmin_hamming(packed, self.prototypes_)
         return self._decode_labels(idx)
 
     def predict_proba(self, X) -> np.ndarray:
         """Softmax over negative normalised distances (monotone surrogate)."""
-        self._check_fitted("prototypes_")
+        self._check_ready()
         packed = coerce_packed(X, self.dim)
         dists = pairwise_hamming(packed, self.prototypes_) / float(self.dim)
         logits = -dists * 10.0  # temperature chosen so 0.5-vs-0.4 separates visibly
         logits -= logits.max(axis=1, keepdims=True)
         expd = np.exp(logits)
         return expd / expd.sum(axis=1, keepdims=True)
+
+    # -- accumulator plumbing ------------------------------------------
+    def _check_batch(self, X, y) -> tuple:
+        packed = coerce_packed(X, self.dim)
+        y = column_or_1d(y)
+        if packed.shape[0] != y.shape[0]:
+            raise ValueError(
+                f"X/y length mismatch: X has {packed.shape[0]} rows but y has "
+                f"{y.shape[0]}"
+            )
+        return packed, y
+
+    def _class_index(self, y: np.ndarray) -> np.ndarray:
+        """Class indices of ``y``; raises before any state changes on unseen labels."""
+        known = np.isin(y, self.classes_)
+        if not known.all():
+            unseen = sorted(set(np.unique(y[~known]).tolist()))
+            raise ValueError(f"labels {unseen} were not present at fit time")
+        return np.searchsorted(self.classes_, y)
+
+    def _absorb(self, packed: np.ndarray, encoded: np.ndarray) -> "PrototypeClassifier":
+        for c in range(self.classes_.size):
+            members = packed[encoded == c]
+            if members.shape[0]:
+                majority_vote_counts(members[None], self.dim, out=self._counts[c : c + 1])
+                self._n[c] += members.shape[0]
+        self._threshold()
+        return self
+
+    def _threshold(self) -> None:
+        """Derive ``prototypes_`` from the accumulators (never per predict)."""
+        if np.any(self._n <= 0):
+            self.__dict__.pop("prototypes_", None)
+            return
+        self.prototypes_ = np.concatenate([
+            majority_from_counts(self._counts[c : c + 1], int(n), self.dim, tie=self.tie)
+            for c, n in enumerate(self._n)
+        ])
+
+    def _check_ready(self) -> None:
+        if not hasattr(self, "prototypes_"):
+            self._check_fitted("_counts")
+            missing = self.classes_[self._n <= 0]
+            raise NotFittedError(f"classes {missing.tolist()} have no records yet")
+
+    # -- persistence ---------------------------------------------------
+    def get_state(self) -> dict:
+        """The accumulators: a loaded instance keeps absorbing follow-ups."""
+        self._check_fitted("_counts")
+        return {
+            "params": {"dim": self.dim, "tie": self.tie},
+            "classes": self.classes_,
+            "counts": self._counts,
+            "n": self._n,
+        }
+
+    def set_state(self, state: dict) -> "PrototypeClassifier":
+        params = state["params"]
+        self.__init__(dim=int(params["dim"]), tie=str(params["tie"]))
+        if "fitted" in state:
+            # Artifacts saved when this class kept only packed prototypes:
+            # seed each class with its prototype bits and one record, so
+            # 2c > 1 exactly where a bit is set and the prototypes
+            # threshold back unchanged.
+            protos = np.asarray(state["fitted"]["prototypes_"], dtype=np.uint64)
+            state = {
+                "classes": state["fitted"]["classes_"],
+                "counts": majority_vote_counts(protos[:, None, :], self.dim),
+                "n": np.ones(protos.shape[0], dtype=np.int64),
+            }
+        self.classes_ = np.asarray(state["classes"])
+        # Copies: an mmap-loaded artifact's payloads are read-only, and the
+        # accumulators must stay writable for partial_fit / retrain.
+        self._counts = np.array(state["counts"], dtype=np.int64)
+        self._n = np.array(state["n"], dtype=np.int64)
+        if self._counts.shape != (self.classes_.size, self.dim):
+            raise ValueError(
+                f"counts state must be ({self.classes_.size}, {self.dim}), "
+                f"got {self._counts.shape}"
+            )
+        self._threshold()
+        return self

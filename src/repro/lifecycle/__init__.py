@@ -9,7 +9,8 @@ batching; this package owns everything about *which model* is serving:
 * :class:`DriftMonitor` + :func:`training_centroid` — HDC-native input
   drift via traffic-vs-training centroid Hamming distance;
 * :class:`FollowUpTrainer` — labelled follow-ups → the next candidate
-  artifact through :class:`~repro.core.online.OnlineHDClassifier`;
+  artifact through :class:`~repro.core.classifier.PrototypeClassifier`'s
+  ``partial_fit``;
 * :class:`ArtifactWatcher` — poll-based ``--watch-artifact`` reloads.
 
 Metrics all land in ``lifecycle.*`` (see :mod:`repro.lifecycle.metrics`)

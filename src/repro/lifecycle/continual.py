@@ -2,9 +2,10 @@
 
 The paper's clinical loop — models that "feed from the data they
 process" — closes here: :class:`FollowUpTrainer` shares the *serving*
-model's fitted encoder, absorbs labelled follow-up rows through the
-integer accumulator (:class:`~repro.core.online.OnlineHDClassifier`,
-one ``partial_fit`` per feedback call, no re-training pass), and can
+model's fitted encoder, absorbs labelled follow-up rows into the
+per-class bit-count accumulators of
+:class:`~repro.core.classifier.PrototypeClassifier` (one ``partial_fit``
+per feedback call, counted by the vote-count kernel), and can
 snapshot its current state as a full :mod:`repro.persist` artifact at
 any point.  That artifact is a normal candidate: mount it shadow/A-B,
 watch the agreement metrics, promote it when it earns the traffic.
@@ -18,7 +19,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.online import OnlineHDClassifier
+from repro.core.classifier import PrototypeClassifier
 from repro.lifecycle.drift import centroid_from_counts
 from repro.lifecycle.metrics import record_follow_ups
 
@@ -37,11 +38,12 @@ class FollowUpTrainer:
 
     Notes
     -----
-    :class:`~repro.core.online.OnlineHDClassifier` needs every class
-    present at ``fit`` time, so rows buffer until at least two labels
-    have been seen; after the first fit, each feedback call is one
+    :class:`~repro.core.classifier.PrototypeClassifier` needs every
+    class present at ``fit`` time, so rows buffer until at least two
+    labels have been seen; after the first fit, each feedback call is one
     ``partial_fit``.  Labels never seen before the first fit are
-    rejected (the online accumulator's class set is fixed at fit time).
+    rejected before any state changes (the class set is fixed at fit
+    time).
     """
 
     def __init__(self, encoder: Any, *, tie: str = "one") -> None:
@@ -49,7 +51,7 @@ class FollowUpTrainer:
             raise ValueError("FollowUpTrainer needs a fitted RecordEncoder")
         self.encoder = encoder
         self.dim = int(encoder.dim)
-        self._clf = OnlineHDClassifier(dim=self.dim, tie=tie)
+        self._clf = PrototypeClassifier(dim=self.dim, tie=tie)
         # Guards the buffer/fitted flag/row count: feedback arrives on
         # HTTP handler threads while build_candidate snapshots state.
         self._lock = threading.Lock()
@@ -125,7 +127,7 @@ class FollowUpTrainer:
         """Persist the current accumulator as a servable candidate artifact.
 
         The artifact is a normal :class:`~repro.ml.pipeline.
-        HDCFeaturePipeline` (shared encoder + the online classifier) with
+        HDCFeaturePipeline` (shared encoder + the accumulator classifier) with
         the follow-up population's centroid saved as the drift reference,
         so a promoted candidate re-arms drift detection against the data
         it was actually trained on.
@@ -138,12 +140,9 @@ class FollowUpTrainer:
                 raise RuntimeError(
                     "trainer has not seen two classes yet; cannot build a candidate"
                 )
-            # Snapshot under the lock: int64 copies so a concurrent
-            # partial_fit cannot shear the saved accumulator.
-            clf = OnlineHDClassifier(dim=self.dim, tie=self._clf.tie)
-            clf.classes_ = np.asarray(self._clf.classes_).copy()
-            clf._counts = np.asarray(self._clf._counts, dtype=np.int64).copy()
-            clf._n = np.asarray(self._clf._n, dtype=np.int64).copy()
+            # Snapshot under the lock: set_state copies the accumulators,
+            # so a concurrent partial_fit cannot shear the saved state.
+            clf = PrototypeClassifier(dim=self.dim).set_state(self._clf.get_state())
             n_rows = self._n_rows
         pipeline = HDCFeaturePipeline(self.encoder, clf, dense=False)
         pipeline.encoder_ = self.encoder
@@ -151,13 +150,12 @@ class FollowUpTrainer:
         pipeline.classes_ = clf.classes_
         pipeline.n_features_in_ = len(self.encoder.specs_)
         pipeline._dense_ = False
-        total_counts = clf._counts.sum(axis=0)
-        total_n = int(clf._n.sum())
-        extras = {}
-        if total_n > 0:
-            extras["train_centroid"] = centroid_from_counts(
-                total_counts, total_n, self.dim
+        state = clf.get_state()
+        extras = {
+            "train_centroid": centroid_from_counts(
+                state["counts"].sum(axis=0), int(state["n"].sum()), self.dim
             )
+        }
         info = {"follow_up_rows": n_rows, "dim": self.dim}
         if meta:
             info.update(meta)

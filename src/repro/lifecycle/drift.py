@@ -6,7 +6,12 @@ it to a majority centroid, and compare that centroid to the training
 set's persisted centroid with one Hamming distance.  A population whose
 feature distribution shifts drags its bundle away from the training
 bundle bit by bit, so the normalised distance is a direct, cheap drift
-score — no windowed KS tests, no per-feature statistics.
+score — no windowed KS tests, no per-feature statistics.  Bits are
+counted by the vote-count kernel
+(:func:`~repro.core.bundling.majority_vote_counts` on a ``(1, n,
+words)`` stack) and thresholded by
+:func:`~repro.core.bundling.majority_from_counts` — the same two
+primitives that bundle records and train class prototypes.
 
 :func:`training_centroid` computes the reference at artifact-build time
 (persisted through ``save_artifact(..., extras=...)``);
@@ -22,8 +27,9 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.core.bundling import majority_from_counts, majority_vote_counts
 from repro.core.distance import hamming_block
-from repro.core.hypervector import pack_bits, unpack_bits
+from repro.core.hypervector import n_words
 from repro.lifecycle.metrics import record_drift
 
 
@@ -36,23 +42,31 @@ def centroid_from_counts(counts: np.ndarray, rows: int, dim: int) -> np.ndarray:
     """
     if rows <= 0:
         raise ValueError("cannot threshold a centroid over zero rows")
-    double = 2 * np.asarray(counts, dtype=np.int64)
-    bits = (double >= rows).astype(np.uint8)
-    return pack_bits(bits[None, :], dim)[0]
+    return majority_from_counts(np.asarray(counts)[None], rows, dim)[0]
+
+
+def _column_counts(packed: np.ndarray, dim: int) -> np.ndarray:
+    """Per-column set-bit counts of a packed ``(n, words)`` batch, as int64.
+
+    One vote-count kernel call over the batch as a single ``(1, n,
+    words)`` stack: no ``(n, dim)`` matrix is ever materialised.
+    """
+    out = np.zeros((1, dim), dtype=np.int64)
+    return majority_vote_counts(np.asarray(packed)[None], dim, out=out)[0]
 
 
 def training_centroid(encoder: Any, X: np.ndarray) -> np.ndarray:
     """Packed majority centroid of the training matrix under ``encoder``.
 
     One fused encoding pass over ``X`` (the encoder must be fitted),
-    bundled with the majority rule.  This is the reference the serving
-    side persists next to the model (``extras={"train_centroid": ...}``)
-    and hands to :class:`DriftMonitor`.
+    counted by the vote-count kernel and bundled with the majority rule.
+    This is the reference the serving side persists next to the model
+    (``extras={"train_centroid": ...}``) and hands to
+    :class:`DriftMonitor`.
     """
     packed = encoder.transform(np.asarray(X, dtype=np.float64))
     dim = int(encoder.dim)
-    counts = unpack_bits(packed, dim).astype(np.int64).sum(axis=0)
-    return centroid_from_counts(counts, int(packed.shape[0]), dim)
+    return centroid_from_counts(_column_counts(packed, dim), int(packed.shape[0]), dim)
 
 
 class DriftMonitor:
@@ -154,8 +168,8 @@ class DriftMonitor:
 
         ``features`` is whatever the serving pipeline computed: a packed
         ``(n, words)`` ``uint64`` batch (``dense=False``) or the dense
-        0/1 ``(n, dim)`` matrix (``dense=True``).  Either way the update
-        is one unpack/sum — the cost HDC already paid to encode.
+        0/1 ``(n, dim)`` matrix (``dense=True``).  A packed batch is
+        counted by the vote-count kernel, a dense one by one column sum.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[0] == 0:
@@ -163,17 +177,15 @@ class DriftMonitor:
         n = int(features.shape[0])
         with self._lock:
             dim = self._dim
-        # The unpack runs outside the lock on purpose (it is the whole
+        # The count runs outside the lock on purpose (it is the whole
         # cost of the update); a dim-changing swap racing it is caught
-        # by the shape check below and the stale delta dropped.
+        # by the shape checks and the stale delta dropped.
         if dense:
             delta = features.astype(np.int64, copy=False).sum(axis=0)
+        elif features.shape[1] != n_words(dim):
+            return  # packed under the previous encoder width
         else:
-            delta = (
-                unpack_bits(features.astype(np.uint64, copy=False), dim)
-                .astype(np.int64)
-                .sum(axis=0)
-            )
+            delta = _column_counts(features, dim)
         with self._lock:
             if delta.shape[0] != self._counts.shape[0]:
                 return  # stale flush racing a dim-changing swap; drop it

@@ -83,7 +83,6 @@ def registered_names() -> list:
 def _register_catalogue() -> None:
     from repro.core.classifier import HammingClassifier, PrototypeClassifier
     from repro.core.encoding import BinaryEncoder, CategoricalEncoder, LevelEncoder
-    from repro.core.online import OnlineHDClassifier
     from repro.core.records import FeatureSpec, RecordEncoder
     from repro.core.search import HDIndex
     from repro.ml.linear import LogisticRegression, SGDClassifier
@@ -100,7 +99,6 @@ def _register_catalogue() -> None:
         RecordEncoder,
         HammingClassifier,
         PrototypeClassifier,
-        OnlineHDClassifier,
         HDIndex,
         LogisticRegression,
         SGDClassifier,
@@ -113,6 +111,9 @@ def _register_catalogue() -> None:
         HDCFeaturePipeline,
     ):
         register(cls)
+    # Load-only name: follow-up candidates saved while the accumulator
+    # classifier was a separate class carry it; the state is the same.
+    _BY_NAME["core.online.OnlineHDClassifier"] = _BY_CLASS[PrototypeClassifier]
 
     register(
         FeatureSpec,

@@ -223,6 +223,12 @@ class TestCountsKernel:
         combined = np.concatenate([a, b], axis=1)
         assert np.array_equal(out, majority_vote_counts(combined, dim))
 
+    def test_counts_reject_word_count_mismatch(self):
+        """A stack packed at another width never reaches the kernel."""
+        stack = np.zeros((1, 4, 2), dtype=np.uint64)  # 2 words: dim 65..128
+        with pytest.raises(ValueError, match="words"):
+            majority_vote_counts(stack, 256)
+
     def test_from_counts_matches_batch_kernel(self, rng):
         from repro.core.hypervector import random_packed
 

@@ -169,6 +169,19 @@ class TestNativeVsNumpy:
             stack, dim, np.zeros((n, dim), dtype=np.int64)
         )
         np.testing.assert_array_equal(got, truth)
+        # Column counts of a whole batch as one (1, n, words) stack — the
+        # drift, centroid and classifier path — including the empty batch
+        # and a tall one whose counts overflow int16.
+        for rows in (0, 1, 8, 40_000):
+            bits = (gen.random((rows, dim)) < 0.9).astype(np.uint8)
+            flat = pack_bits(bits, dim)
+            truth = unpack_bits(flat, dim).sum(axis=0, dtype=np.int64)[None, :]
+            assert rows < 40_000 or truth.max() > np.iinfo(np.int16).max
+            for name in ("numpy", "native"):
+                got = get_backend(name).majority_vote_counts(
+                    flat[None], dim, np.zeros((1, dim), dtype=np.int64)
+                )
+                np.testing.assert_array_equal(got, truth)
 
     def test_zero_row_inputs(self, native_built):
         native = get_backend("native")

@@ -71,7 +71,10 @@ def test_unseen_label_after_fit_is_rejected(trainer, pima_r):
     trainer.add(_rows_for(pima_r, 0, 3), np.zeros(3))
     trainer.add(_rows_for(pima_r, 1, 3), np.ones(3))
     with pytest.raises(ValueError, match="not present at fit time"):
-        trainer.add(_rows_for(pima_r, 0, 1), np.array([7]))
+        trainer.add(_rows_for(pima_r, 0, 2), np.array([0, 7]))
+    # Rejected whole: the accumulator stays in step with the row count.
+    assert trainer.describe()["rows"] == 6
+    assert trainer._clf.class_counts_.sum() == 6
 
 
 def test_build_candidate_requires_two_classes(trainer, pima_r, tmp_path):

@@ -185,6 +185,17 @@ def test_stale_flush_from_the_old_dim_is_dropped():
     assert monitor.distance == 0.0
 
 
+def test_stale_packed_flush_from_the_old_dim_is_dropped():
+    monitor = DriftMonitor(128, reference=pack_bits(_pattern(128)[None, :], 128)[0])
+    new_bits = _pattern(256, seed=11)
+    monitor.set_reference(pack_bits(new_bits[None, :], 256)[0], dim=256)
+    monitor.observe(pack_bits(np.tile(_pattern(128), (4, 1)), 128), dense=False)
+    assert monitor.status()["rows"] == 0
+    monitor.observe(pack_bits(np.tile(new_bits, (4, 1)), 256), dense=False)
+    assert monitor.status()["rows"] == 4
+    assert monitor.distance == 0.0
+
+
 def test_empty_or_malformed_batches_are_ignored():
     monitor = DriftMonitor(128)
     monitor.observe(np.zeros((0, 128)), dense=True)

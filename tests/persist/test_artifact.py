@@ -13,7 +13,9 @@ import repro
 from repro.core.classifier import HammingClassifier, PrototypeClassifier
 from repro.core.records import RecordEncoder
 from repro.core.search import HDIndex
+from repro.lifecycle import FollowUpTrainer
 from repro.ml import LogisticRegression
+from repro.ml.base import BaseEstimator
 from repro.ml.pipeline import HDCFeaturePipeline
 from repro.persist import (
     MANIFEST_NAME,
@@ -86,6 +88,60 @@ def test_artifact_with_removed_shards_param_still_loads(
     loaded = load_artifact(path)
     assert "shards" not in loaded.get_params()
     np.testing.assert_array_equal(loaded.predict(packed), clf.predict(packed))
+
+
+def test_prototype_artifact_without_accumulators_still_loads(
+    tmp_path, pima_r, fitted_encoder, monkeypatch
+):
+    """Artifacts that stored only ``classes_`` + packed ``prototypes_`` load
+    with the prototypes unchanged (seeded as one-record accumulators)."""
+    packed = fitted_encoder.transform(pima_r.X)
+    clf = PrototypeClassifier(dim=DIM).fit(packed, pima_r.y)
+    with monkeypatch.context() as m:
+        m.setattr(PrototypeClassifier, "get_state", BaseEstimator.get_state)
+        path = save_artifact(clf, tmp_path / "prototype")
+    state = json.loads((path / MANIFEST_NAME).read_text())["state"]["state"]
+    assert set(state["items"]["fitted"]["items"]) == {"classes_", "prototypes_"}
+    loaded = load_artifact(path)
+    np.testing.assert_array_equal(loaded.prototypes_, clf.prototypes_)
+    np.testing.assert_array_equal(loaded.predict(packed), clf.predict(packed))
+    np.testing.assert_array_equal(loaded.predict_proba(packed), clf.predict_proba(packed))
+    assert loaded.class_counts_.tolist() == [1, 1]
+
+
+def _rename_class(node, old, new):
+    if isinstance(node, dict):
+        if node.get("class") == old:
+            node["class"] = new
+        for value in node.values():
+            _rename_class(value, old, new)
+    elif isinstance(node, list):
+        for value in node:
+            _rename_class(value, old, new)
+
+
+def test_follow_up_candidate_under_the_online_class_name_still_loads(
+    tmp_path, pima_r, fitted_encoder
+):
+    """Follow-up candidates saved under ``core.online.OnlineHDClassifier``
+    (the same accumulator state) load as PrototypeClassifier."""
+    trainer = FollowUpTrainer(fitted_encoder)
+    trainer.add(pima_r.X[:64], pima_r.y[:64])
+    path = trainer.build_candidate(tmp_path / "candidate")
+    expected = load_artifact(path)
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    _rename_class(
+        manifest, "core.classifier.PrototypeClassifier", "core.online.OnlineHDClassifier"
+    )
+    assert "core.online.OnlineHDClassifier" in json.dumps(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = load_artifact(path)
+    assert isinstance(loaded.estimator_, PrototypeClassifier)
+    np.testing.assert_array_equal(loaded.predict(pima_r.X), expected.predict(pima_r.X))
+    np.testing.assert_array_equal(
+        loaded.estimator_.class_counts_, expected.estimator_.class_counts_
+    )
 
 
 def test_hybrid_pipeline_round_trip(tmp_path, pima_r):

@@ -15,7 +15,6 @@ from repro.core import (
     majority_vote_batch,
     pairwise_hamming,
 )
-from repro.core.online import OnlineHDClassifier
 from repro.eval.crossval import leave_one_out_hamming
 
 
@@ -78,8 +77,10 @@ class TestEncoderIdentities:
 class TestPrototypeEquivalences:
     def test_online_fit_equals_batch_prototype(self, small_encoded):
         _, _, packed, y = small_encoded
-        online = OnlineHDClassifier(dim=1024).fit(packed, y)
+        online = PrototypeClassifier(dim=1024).fit(packed[:20], y[:20])
+        online.partial_fit(packed[20:], y[20:])
         batch = PrototypeClassifier(dim=1024).fit(packed, y)
+        assert np.array_equal(online.prototypes_, batch.prototypes_)
         assert np.array_equal(online.predict(packed), batch.predict(packed))
 
     def test_prototype_is_classwise_majority(self, small_encoded):

@@ -14,13 +14,13 @@ from repro.core import (
     Hypervector,
     ItemMemory,
     LevelEncoder,
+    PrototypeClassifier,
     RecordEncoder,
     majority_vote,
     pack_bits,
     pairwise_hamming,
     unpack_bits,
 )
-from repro.core.online import OnlineHDClassifier
 from repro.data.datasets import Dataset
 from repro.core.records import FeatureSpec
 from repro.eval import (
@@ -97,7 +97,7 @@ class TestClassifierEdges:
 
     def test_online_classifier_float_labels_ok_but_unseen_rejected(self, rng):
         packed = pack_bits((rng.random((6, 64)) < 0.5).astype(np.uint8))
-        clf = OnlineHDClassifier(dim=64).fit(packed, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        clf = PrototypeClassifier(dim=64).fit(packed, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             clf.partial_fit(packed[:1], [2.0])
 
