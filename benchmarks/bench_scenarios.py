@@ -6,10 +6,7 @@ Drives the committed ``scenarios/`` library through
 * the run completes end-to-end (fit, persist, boot on an ephemeral
   port, seeded load) with a zero error rate;
 * the produced ``BENCH_<name>.json`` validates against the bench
-  schema and carries the server-side ``serve.*`` counter deltas;
-* the open-loop saturation sweep on the simulated transport finds a
-  knee consistent with the service-time it was given (a queueing-math
-  self-check that needs no wall clock at all).
+  schema and carries the server-side ``serve.*`` counter deltas.
 
 Run with::
 
@@ -27,17 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import (
-    FakeClock,
-    FakeTransport,
-    SLOSpec,
-    TrafficSpec,
-    discover_scenarios,
-    find_saturation,
-    load_bench,
-    load_scenario,
-    run_scenario,
-)
+from repro.scenarios import discover_scenarios, load_bench, load_scenario, run_scenario
 
 FAST = os.environ.get("REPRO_BENCH_SCALE", "bench") == "fast"
 PRESET = "fast" if FAST else None
@@ -70,31 +57,3 @@ def test_scenario_end_to_end(name, tmp_path):
     assert metrics["serve.rejected"] == 0
     assert metrics["serve.errors"] == 0
 
-
-def test_simulated_saturation_matches_queueing_math():
-    """The sweep's knee must sit below the simulated server's capacity.
-
-    A FIFO server with a 2 ms deterministic service time caps out at
-    500 rps; offered rates comfortably below that satisfy a 50 ms p99,
-    rates above it cannot.  Runs entirely on the fake clock, so this is
-    wall-clock-free and bit-stable across machines.
-    """
-    traffic = TrafficSpec(
-        mode="open", n_requests=600, rate_rps=50.0, concurrency=8, seed=11
-    )
-    result = find_saturation(
-        traffic,
-        lambda: FakeTransport(service_s=0.002),
-        slo=SLOSpec(p99_ms=50.0),
-        clock=FakeClock(),
-        workers="inline",
-        start_rps=62.5,
-        growth=2.0,
-        max_steps=8,
-    )
-    knee = result["saturation_rps"]
-    print(f"\nsimulated knee: {knee} rps over {len(result['steps'])} steps")
-    assert knee is not None
-    assert knee <= 500.0  # can't beat 1/service_time
-    assert knee >= 125.0  # but comfortably clears the underloaded rates
-    assert result["steps"][-1]["slo_violations"]

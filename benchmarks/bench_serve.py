@@ -182,7 +182,7 @@ def test_metrics_visible_over_http(model, pima):
 
         def post():
             req = urllib.request.Request(
-                url + "/predict", data=body,
+                url + "/v1/predict", data=body,
                 headers={"Content-Type": "application/json"},
             )
             with urllib.request.urlopen(req) as resp:

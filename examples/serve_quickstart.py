@@ -9,7 +9,7 @@ The deployment path added in PR 5:
    (`repro.persist`) and inspect the manifest;
 3. boot the micro-batched HTTP service (`repro.serve`) on an ephemeral
    port — the same server `repro-serve --artifact <dir>` runs;
-4. POST patient rows to /predict (single and concurrent), then read the
+4. POST patient rows to /v1/predict (single and concurrent), then read the
    serve.* metrics off /metrics.
 
 Run:  python examples/serve_quickstart.py
@@ -39,7 +39,7 @@ SEED = 7
 
 def post_predict(url: str, rows) -> dict:
     req = urllib.request.Request(
-        url + "/predict",
+        url + "/v1/predict",
         data=json.dumps({"rows": rows}).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
@@ -76,7 +76,7 @@ def main() -> None:
 
             # 4a. One request, three patients.
             body = post_predict(url, ds.X[:3].tolist())
-            print(f"  /predict (3 rows) -> {body['predictions']}")
+            print(f"  /v1/predict (3 rows) -> {body['predictions']}")
 
             # 4b. 16 concurrent single-row requests; the micro-batcher
             #     fuses them into a handful of batched model calls.

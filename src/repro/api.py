@@ -54,9 +54,7 @@ from repro.core.search import (
     HDIndex,
     argmin_hamming,
     loo_topk_hamming,
-    loo_topk_hamming_reference,
     topk_hamming,
-    topk_hamming_reference,
 )
 from repro.core.classifier import HammingClassifier, PrototypeClassifier
 from repro.core.itemmemory import ItemMemory
@@ -83,7 +81,6 @@ from repro.eval.crossval import (
     StratifiedKFold,
     cross_validate,
     leave_one_out_hamming,
-    leave_one_out_hamming_reference,
     train_test_split,
     train_val_test_split,
 )
@@ -156,7 +153,6 @@ from repro.scenarios import (
     run_load,
     run_rollout,
     run_scenario,
-    sweep_workers,
 )
 
 # --- parallel + observability + kernels ---------------------------------
@@ -195,9 +191,7 @@ __all__ = [
     "HDIndex",
     "argmin_hamming",
     "loo_topk_hamming",
-    "loo_topk_hamming_reference",
     "topk_hamming",
-    "topk_hamming_reference",
     "HammingClassifier",
     "PrototypeClassifier",
     "ItemMemory",
@@ -219,7 +213,6 @@ __all__ = [
     "StratifiedKFold",
     "cross_validate",
     "leave_one_out_hamming",
-    "leave_one_out_hamming_reference",
     "train_test_split",
     "train_val_test_split",
     "ExperimentConfig",
@@ -277,7 +270,6 @@ __all__ = [
     "run_load",
     "run_rollout",
     "run_scenario",
-    "sweep_workers",
     # parallel + observability + kernels
     "parallel_map",
     "obs",

@@ -9,11 +9,9 @@ seeded load run whose report accumulates in a schema-versioned
 
 from repro.scenarios.errors import BenchSchemaError, ScenarioError
 from repro.scenarios.load import (
-    FakeClock,
     FakeTransport,
     HttpTransport,
     LoadReport,
-    SystemClock,
     arrival_schedule,
     evaluate_slo,
     find_saturation,
@@ -40,14 +38,6 @@ from repro.scenarios.resolve import (
 )
 from repro.scenarios.rollout import run_rollout
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.sweep import (
-    WorkerScalingReport,
-    artifact_pool_factory,
-    check_scaling,
-    measure_service_time,
-    simulate_pool,
-    sweep_workers,
-)
 from repro.scenarios.schema import (
     SCENARIO_SCHEMA_VERSION,
     DatasetSpec,
@@ -71,7 +61,6 @@ __all__ = [
     "BenchSchemaError",
     "DatasetSpec",
     "EncoderSpec",
-    "FakeClock",
     "FakeTransport",
     "HttpTransport",
     "LoadReport",
@@ -81,25 +70,20 @@ __all__ = [
     "ScenarioError",
     "ScenarioSpec",
     "ServeSpec",
-    "SystemClock",
     "TrafficSpec",
-    "WorkerScalingReport",
     "apply_preset",
     "arrival_schedule",
-    "artifact_pool_factory",
     "bench_path",
     "boot_server",
     "build_artifact",
     "build_dataset",
     "build_pipeline",
-    "check_scaling",
     "discover_scenarios",
     "evaluate_slo",
     "find_saturation",
     "load_bench",
     "load_scenario",
     "make_run_entry",
-    "measure_service_time",
     "merge_bench",
     "new_bench",
     "run_load",
@@ -108,9 +92,7 @@ __all__ = [
     "run_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "simulate_pool",
     "summarize",
-    "sweep_workers",
     "update_bench_file",
     "validate_bench",
     "write_bench",

@@ -1,4 +1,4 @@
-"""Synthetic load generation: seeded arrivals, injectable clock, reports.
+"""Synthetic load generation: seeded arrivals, one threaded engine, reports.
 
 Two arrival disciplines (the classic pair from load-testing literature):
 
@@ -11,26 +11,22 @@ Two arrival disciplines (the classic pair from load-testing literature):
   flight (request → response → next request).  The offered rate adapts
   to the server, which is what real interactive clients do.
 
-Determinism is a hard requirement (the same discipline hdlint HD001
-enforces on every other stochastic component): all randomness flows from
-``TrafficSpec.seed`` through :mod:`repro.utils.rng`, and the wall clock
-is injectable.  With :class:`FakeClock` plus a deterministic transport
-the *entire run* — arrival schedule, per-request latencies, the final
-report — is bit-identical across runs, so harness regressions are
-testable without wall-clock sleeps.
+All randomness flows from ``TrafficSpec.seed`` through
+:mod:`repro.utils.rng` (the discipline hdlint HD001 enforces on every
+other stochastic component), so the arrival schedule and the row stream
+are bit-identical across runs; only the measured latencies depend on
+the server.
 
-Two execution engines share the reporting path:
-
-* :func:`run_load` with ``workers="threads"`` drives a real HTTP server
-  (:class:`HttpTransport`) with actual concurrency;
-* ``workers="inline"`` runs a single-threaded discrete-event simulation
-  of a FIFO server (service times supplied by the transport), used by
-  the deterministic tests and the queueing-math sanity checks.
+:func:`run_load` has one engine: a thread pool (open loop) or
+``concurrency`` threads (closed loop) calling ``transport.send`` on the
+wall clock.  :class:`HttpTransport` drives a live server's
+``POST /v1/predict``; :class:`FakeTransport` is the test double.
+Open-loop latency is measured from each request's *scheduled* arrival,
+so a dispatch backlog (coordinated omission) counts against the server.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import threading
 import time
@@ -52,92 +48,70 @@ LATENCY_PERCENTILES: Tuple[int, ...] = (50, 90, 95, 99)
 
 
 # ----------------------------------------------------------------------
-# clocks
-# ----------------------------------------------------------------------
-class SystemClock:
-    """Monotonic wall clock (``perf_counter``) with real sleeping."""
-
-    def now(self) -> float:
-        return time.perf_counter()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
-
-class FakeClock:
-    """Deterministic clock: ``sleep`` advances simulated time instantly.
-
-    Thread-safe so the threaded engine can also run against it, but its
-    home is the inline simulation engine where it makes whole load runs
-    reproducible bit-for-bit.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-        self._lock = threading.Lock()
-
-    def now(self) -> float:
-        with self._lock:
-            return self._now
-
-    def sleep(self, seconds: float) -> None:
-        with self._lock:
-            self._now += max(0.0, float(seconds))
-
-    def advance(self, seconds: float) -> None:
-        self.sleep(seconds)
-
-
-# ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
-class HttpTransport:
-    """POST rows to a live ``/predict`` endpoint; returns (status, seconds).
+def request_json(
+    url: str,
+    payload: Optional[Dict[str, Any]],
+    *,
+    timeout_s: float,
+) -> Tuple[int, Dict[str, Any]]:
+    """POST ``payload`` as JSON (GET when it is None); ``(status, body)``.
 
-    Transport-level failures (refused connection, timeout) report status
-    ``0`` so they are distinguishable from server-side 5xx in the
-    report's ``status_counts``.
+    One short-lived urllib connection per call.  Transport-level
+    failures (refused connection, timeout, unparseable body) return
+    status ``0``, so they stay distinguishable from server-side 5xx.
+    """
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    req = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            return int(resp.status), json.loads(resp.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        try:
+            body = json.loads(exc.read().decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            body = {}
+        return int(exc.code), body
+    except (urllib.error.URLError, OSError, TimeoutError, ValueError):
+        return 0, {}
+
+
+class HttpTransport:
+    """POST rows to a live ``/v1/predict``; returns (status, seconds).
+
+    Status ``0`` marks a transport-level failure (see :func:`request_json`).
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
-        self.url = base_url.rstrip("/") + "/predict"
+        self.url = base_url.rstrip("/") + "/v1/predict"
         self.timeout_s = float(timeout_s)
 
     def send(self, rows: Sequence[Sequence[float]]) -> Tuple[int, float]:
-        body = json.dumps({"rows": [list(map(float, r)) for r in rows]}).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
+        payload = {"rows": [list(map(float, r)) for r in rows]}
         started = time.perf_counter()
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                resp.read()
-                status = int(resp.status)
-        except urllib.error.HTTPError as exc:
-            exc.read()
-            status = int(exc.code)
-        except (urllib.error.URLError, OSError, TimeoutError):
-            status = 0
+        status, _ = request_json(self.url, payload, timeout_s=self.timeout_s)
         return status, time.perf_counter() - started
 
 
 class FakeTransport:
-    """Deterministic service-time model for the inline simulator.
+    """Test double: answers instantly with a chosen status and service time.
 
-    ``service_s`` is either a constant or ``f(request_index) -> seconds``;
-    ``status_fn`` lets tests inject error codes at chosen indices.
+    ``service_s`` is the latency every call reports; ``status_fn`` lets
+    tests inject error codes at chosen request indices.
     """
 
     def __init__(
         self,
-        service_s: Any = 0.001,
+        service_s: float = 0.001,
         status_fn: Optional[Callable[[int], int]] = None,
     ) -> None:
-        self._service = service_s
+        self._service_s = float(service_s)
         self._status_fn = status_fn
-        # The threaded runner shares one transport across workers, so
-        # the request counter needs a lock to hand out unique indices.
+        # The engine shares one transport across its threads, so the
+        # request counter needs a lock to hand out unique indices.
         self._lock = threading.Lock()
         self._calls = 0
 
@@ -145,9 +119,8 @@ class FakeTransport:
         with self._lock:
             i = self._calls
             self._calls += 1
-        service = self._service(i) if callable(self._service) else float(self._service)
         status = self._status_fn(i) if self._status_fn is not None else 200
-        return int(status), float(service)
+        return int(status), self._service_s
 
 
 # ----------------------------------------------------------------------
@@ -299,89 +272,38 @@ def summarize(
 
 
 # ----------------------------------------------------------------------
-# engines
+# engine
 # ----------------------------------------------------------------------
-def _run_inline(
-    traffic: TrafficSpec,
-    transport: Any,
-    clock: Any,
-    request_rows: List[np.ndarray],
-) -> Tuple[List[float], List[int], float]:
-    """Single-threaded discrete-event simulation of a FIFO server.
-
-    The transport supplies each request's service time; the engine does
-    the queueing math.  Latency = completion − arrival, exactly as a
-    client would measure it.  Fully deterministic under a fake clock.
-    """
-    start = clock.now()
-    latencies: List[float] = []
-    statuses: List[int] = []
-    server_free = start
-    if traffic.mode == "open":
-        arrivals = start + arrival_schedule(traffic)
-        for i, arrival in enumerate(arrivals):
-            if clock.now() < arrival:
-                clock.sleep(arrival - clock.now())
-            status, service = transport.send(request_rows[i])
-            begin = max(arrival, server_free)
-            completion = begin + service
-            server_free = completion
-            if clock.now() < completion:
-                clock.sleep(completion - clock.now())
-            latencies.append(completion - arrival)
-            statuses.append(status)
-            record_load_request(completion - arrival, status)
-        end = max(clock.now(), server_free)
-    else:  # closed loop: one in-flight request per worker, FIFO server
-        ready = [(start, w) for w in range(traffic.concurrency)]
-        heapq.heapify(ready)
-        for i in range(traffic.n_requests):
-            arrival, worker = heapq.heappop(ready)
-            status, service = transport.send(request_rows[i])
-            begin = max(arrival, server_free)
-            completion = begin + service
-            server_free = completion
-            latencies.append(completion - arrival)
-            statuses.append(status)
-            record_load_request(completion - arrival, status)
-            heapq.heappush(ready, (completion, worker))
-        end = max(server_free, start)
-        if clock.now() < end:
-            clock.sleep(end - clock.now())
-    return latencies, statuses, end - start
-
-
 def _run_threaded(
     traffic: TrafficSpec,
     transport: Any,
-    clock: Any,
     request_rows: List[np.ndarray],
 ) -> Tuple[List[float], List[int], float]:
-    """Real-concurrency engine used against live servers."""
+    """Fire every planned request with real concurrency on the wall clock."""
     latencies: List[float] = [0.0] * traffic.n_requests
     statuses: List[int] = [0] * traffic.n_requests
 
     def fire(i: int, scheduled: Optional[float]) -> None:
-        issued = clock.now()
+        issued = time.perf_counter()
         status, seconds = transport.send(request_rows[i])
         # Open-loop latency is measured from the *scheduled* arrival, so
         # dispatch backlog (coordinated omission) counts against the
         # server, not in its favour.
         base = issued if scheduled is None else min(issued, scheduled)
-        latency = (clock.now() - base) if scheduled is not None else seconds
+        latency = (time.perf_counter() - base) if scheduled is not None else seconds
         latencies[i] = max(latency, seconds)
         statuses[i] = status
         record_load_request(latencies[i], status)
 
-    start = clock.now()
+    start = time.perf_counter()
     if traffic.mode == "open":
         offsets = arrival_schedule(traffic)
         with ThreadPoolExecutor(max_workers=traffic.concurrency) as pool:
             futures = []
             for i, offset in enumerate(offsets):
-                delay = (start + offset) - clock.now()
+                delay = (start + offset) - time.perf_counter()
                 if delay > 0:
-                    clock.sleep(delay)
+                    time.sleep(delay)
                 futures.append(pool.submit(fire, i, start + offset))
             for fut in futures:
                 fut.result()
@@ -406,7 +328,7 @@ def _run_threaded(
             t.start()
         for t in threads:
             t.join()
-    return latencies, statuses, clock.now() - start
+    return latencies, statuses, time.perf_counter() - start
 
 
 def run_load(
@@ -414,9 +336,7 @@ def run_load(
     transport: Any,
     *,
     slo: Optional[SLOSpec] = None,
-    clock: Optional[Any] = None,
     rows: Optional[np.ndarray] = None,
-    workers: str = "threads",
 ) -> LoadReport:
     """Run one load experiment and fold the outcome into a report.
 
@@ -426,36 +346,22 @@ def run_load(
         Arrival process description (validated here).
     transport:
         ``send(rows) -> (status, seconds)`` — :class:`HttpTransport`
-        against a live server, or any deterministic stand-in.
+        against a live server, or a stand-in such as :class:`FakeTransport`.
     slo:
         Objectives to judge the run against (default: no bounds).
-    clock:
-        ``now()/sleep()`` provider; default :class:`SystemClock`.
     rows:
         ``(n, F)`` feature matrix requests sample from; defaults to a
         single zero-feature row (transport stand-ins ignore payloads).
-    workers:
-        ``"threads"`` for real concurrency, ``"inline"`` for the
-        deterministic single-threaded simulation.
     """
     traffic.validate()
     slo = slo or SLOSpec()
-    clock = clock or SystemClock()
-    if workers not in ("threads", "inline"):
-        raise ScenarioError(f"workers must be 'threads' or 'inline', got {workers!r}")
     if rows is None:
         rows = np.zeros((1, 1), dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
     plan = request_row_indices(traffic, rows.shape[0])
     request_rows = [rows[plan[i]] for i in range(traffic.n_requests)]
-    engine = _run_inline if workers == "inline" else _run_threaded
-    with span(
-        "scenarios.load_run",
-        mode=traffic.mode,
-        n_requests=traffic.n_requests,
-        workers=workers,
-    ):
-        latencies, statuses, duration = engine(traffic, transport, clock, request_rows)
+    with span("scenarios.load_run", mode=traffic.mode, n_requests=traffic.n_requests):
+        latencies, statuses, duration = _run_threaded(traffic, transport, request_rows)
     report = summarize(traffic, slo, latencies, statuses, duration)
     record_load_run(report)
     return report
@@ -469,9 +375,7 @@ def find_saturation(
     transport_factory: Callable[[], Any],
     *,
     slo: Optional[SLOSpec] = None,
-    clock: Optional[Any] = None,
     rows: Optional[np.ndarray] = None,
-    workers: str = "threads",
     start_rps: float = 25.0,
     growth: float = 2.0,
     max_steps: int = 8,
@@ -497,14 +401,7 @@ def find_saturation(
     rate = float(start_rps)
     for _ in range(max_steps):
         step_traffic = replace(traffic, mode="open", rate_rps=rate)
-        report = run_load(
-            step_traffic,
-            transport_factory(),
-            slo=slo,
-            clock=clock,
-            rows=rows,
-            workers=workers,
-        )
+        report = run_load(step_traffic, transport_factory(), slo=slo, rows=rows)
         steps.append({"offered_rps": rate} | report.to_dict())
         if report.ok:
             saturation = rate
@@ -515,15 +412,14 @@ def find_saturation(
 
 
 __all__ = [
-    "FakeClock",
     "FakeTransport",
     "HttpTransport",
     "LATENCY_PERCENTILES",
     "LoadReport",
-    "SystemClock",
     "arrival_schedule",
     "evaluate_slo",
     "find_saturation",
+    "request_json",
     "request_row_indices",
     "run_load",
     "summarize",

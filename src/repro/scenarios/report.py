@@ -21,7 +21,6 @@ Document shape (``BENCH_SCHEMA_VERSION = 1``)::
           "offline": {...} | null,
           "server_metrics": {"serve.requests": ..., ...} | null,
           "saturation": {...} | null,
-          "sweep": { ...WorkerScalingReport.to_dict()... } | null,
           "rollout": { ...swap-under-load drill block... } | null
         },
         ...
@@ -29,7 +28,9 @@ Document shape (``BENCH_SCHEMA_VERSION = 1``)::
     }
 
 Validation raises :class:`~repro.scenarios.errors.BenchSchemaError`
-naming the offending key, same contract as the scenario schema.
+naming the offending key, same contract as the scenario schema.  Keys
+not shown above are carried through unchecked, so trajectories written
+by older versions (such as runs with a ``sweep`` section) still load.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def make_run_entry(
     offline: Optional[Mapping[str, Any]] = None,
     server_metrics: Optional[Mapping[str, float]] = None,
     saturation: Optional[Mapping[str, Any]] = None,
-    sweep: Optional[Mapping[str, Any]] = None,
     rollout: Optional[Mapping[str, Any]] = None,
     timestamp: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -113,7 +113,6 @@ def make_run_entry(
         "offline": dict(offline) if offline is not None else None,
         "server_metrics": dict(server_metrics) if server_metrics is not None else None,
         "saturation": dict(saturation) if saturation is not None else None,
-        "sweep": dict(sweep) if sweep is not None else None,
         "rollout": dict(rollout) if rollout is not None else None,
     }
 
@@ -223,13 +222,7 @@ def validate_bench(doc: Any) -> None:
         )
         _require(isinstance(run.get("config"), Mapping), f"{prefix}.config", "expected an object")
         _validate_load_section(run.get("load"), f"{prefix}.load")
-        for optional_section in (
-            "offline",
-            "server_metrics",
-            "saturation",
-            "sweep",
-            "rollout",
-        ):
+        for optional_section in ("offline", "server_metrics", "saturation", "rollout"):
             value = run.get(optional_section)
             _require(
                 value is None or isinstance(value, Mapping),

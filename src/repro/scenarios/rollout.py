@@ -27,18 +27,18 @@ of a BENCH run entry (see :mod:`repro.scenarios.report`).
 from __future__ import annotations
 
 import dataclasses
-import json
 import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.obs import span
 from repro.persist import artifact_sha
 from repro.scenarios.errors import ScenarioError
+from repro.scenarios.load import request_json
 from repro.scenarios.resolve import build_artifact, build_dataset, serve_config
 from repro.scenarios.schema import ScenarioSpec
 from repro.serve.pool import FLUSH_PERIOD_S, ServePool
@@ -49,38 +49,6 @@ SETTLE_TIMEOUT_S = 15.0
 #: considered propagated — the kernel balances connections randomly, so
 #: one confirmation only proves one worker.
 CONFIRMS_PER_WORKER = 3
-
-
-# ----------------------------------------------------------------------
-# minimal HTTP helpers (the load generator's transport speaks the legacy
-# /predict endpoint; the drill needs the /v1 envelope's artifact_sha)
-# ----------------------------------------------------------------------
-def _request_json(
-    url: str,
-    payload: Optional[dict],
-    *,
-    timeout_s: float,
-) -> Tuple[int, dict]:
-    """POST (or GET when ``payload`` is None); ``(status, body_dict)``.
-
-    Transport-level failures return status ``0`` — the "dropped request"
-    bucket the drill asserts stays empty.
-    """
-    data = None if payload is None else json.dumps(payload).encode("utf-8")
-    req = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            return int(resp.status), json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        try:
-            body = json.loads(exc.read().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            body = {}
-        return int(exc.code), body
-    except (urllib.error.URLError, OSError, TimeoutError, ValueError):
-        return 0, {}
 
 
 def _await_sha(
@@ -96,7 +64,7 @@ def _await_sha(
     deadline = time.monotonic() + timeout_s
     streak = 0
     while time.monotonic() < deadline:
-        status, body = _request_json(
+        status, body = request_json(
             f"{base_url}/v1/predict", {"rows": [row]}, timeout_s=timeout_s
         )
         sha = body.get("model", {}).get("artifact_sha") if status == 200 else None
@@ -112,7 +80,7 @@ def _await_candidate(base_url: str, *, confirms: int, timeout_s: float) -> bool:
     deadline = time.monotonic() + timeout_s
     streak = 0
     while time.monotonic() < deadline:
-        status, body = _request_json(
+        status, body = request_json(
             f"{base_url}/v1/admin/lifecycle", None, timeout_s=timeout_s
         )
         mounted = status == 200 and body.get("candidate") is not None
@@ -174,7 +142,7 @@ def _drive_traffic(
 
     def fire_swap() -> None:
         started = time.monotonic()
-        status, body = _request_json(
+        status, body = request_json(
             f"{base_url}/v1/admin/reload",
             {"artifact": swap_artifact},
             timeout_s=timeout_s,
@@ -192,7 +160,7 @@ def _drive_traffic(
                 i = next_index[0]
                 next_index[0] += 1
             row = [float(v) for v in rows[i % len(rows)]]
-            status, body = _request_json(
+            status, body = request_json(
                 f"{base_url}/v1/predict", {"rows": [row]}, timeout_s=timeout_s
             )
             sha = body.get("model", {}).get("artifact_sha") if status == 200 else None
@@ -301,7 +269,7 @@ def run_rollout(
             pool.start()
             try:
                 base_url = pool.url
-                mount_status, _ = _request_json(
+                mount_status, _ = request_json(
                     f"{base_url}/v1/admin/candidate",
                     {
                         "action": "mount",

@@ -83,11 +83,7 @@ def run_scenario(
                 before = snapshot_server_counters()
                 transport = HttpTransport(server.url, timeout_s=spec.traffic.timeout_s)
                 load_report = run_load(
-                    spec.traffic,
-                    transport,
-                    slo=spec.slo,
-                    rows=dataset.X,
-                    workers="threads",
+                    spec.traffic, transport, slo=spec.slo, rows=dataset.X
                 )
                 saturation_block = None
                 if saturation:

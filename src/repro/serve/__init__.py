@@ -10,8 +10,8 @@ Public surface:
   in, micro-batched predictions out (usable without HTTP, e.g. by the
   serving benchmark).
 * :class:`~repro.serve.http.ModelServer` — ThreadingHTTPServer front-end
-  with ``POST /v1/predict`` (versioned envelope), ``POST /predict``
-  (deprecated alias), ``GET /healthz`` / ``/readyz`` / ``/metrics``.
+  with ``POST /v1/predict`` (versioned envelope), ``GET /healthz`` /
+  ``/readyz`` / ``/metrics``.
 * :class:`~repro.serve.pool.ServePool` — pre-fork multi-worker pool
   sharing one ``SO_REUSEPORT`` address and (with ``mmap``) one set of
   physical artifact pages; aggregates metrics and readiness across

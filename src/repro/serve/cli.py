@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description=(
             "Serve a saved model artifact over HTTP with micro-batched "
-            "inference (endpoints: POST /v1/predict, POST /predict "
-            "[deprecated], GET /healthz, /readyz, /metrics)."
+            "inference (endpoints: POST /v1/predict, GET /healthz, "
+            "/readyz, /metrics)."
         ),
     )
     parser.add_argument(

@@ -6,11 +6,6 @@ Endpoints:
   ``{"rows": [[...], ...], "request_id": "..."}`` (``request_id``
   optional); responds ``{"predictions": [...], "n": k, "model":
   {"kind", "schema_version", "artifact_sha"}, "request_id": ...}``.
-* ``POST /predict`` — deprecated alias of ``/v1/predict`` kept for
-  pre-PR-9 clients: same request schema, legacy response shape
-  ``{"predictions": [...], "n": k}``, a ``Deprecation: true`` header
-  plus a ``Link: </v1/predict>; rel="successor-version"`` pointer, and
-  a bump of the ``serve.deprecated_requests`` counter.
 * ``GET /healthz`` — process liveness (always 200 while the server runs).
 * ``GET /readyz`` — 200 with the model summary once the service is
   started, 503 before/after.  Under a pool
@@ -54,7 +49,7 @@ from typing import Any, Optional, Tuple
 from repro.obs.export import to_prometheus
 from repro.serve.batcher import QueueFullError
 from repro.serve.config import ServeConfig
-from repro.serve.metrics import record_deprecated, record_error
+from repro.serve.metrics import record_error
 from repro.serve.service import (
     InferenceService,
     NotReadyError,
@@ -127,32 +122,18 @@ def _make_handler(service: InferenceService, config: ServeConfig):
             if config.log_requests:
                 BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
-        def _send(
-            self,
-            status: int,
-            body: bytes,
-            content_type: str,
-            extra_headers: Optional[dict] = None,
-        ) -> None:
+        def _send(self, status: int, body: bytes, content_type: str) -> None:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
 
-        def _send_json(
-            self,
-            status: int,
-            payload: Any,
-            extra_headers: Optional[dict] = None,
-        ) -> None:
+        def _send_json(self, status: int, payload: Any) -> None:
             self._send(
                 status,
                 json.dumps(payload).encode("utf-8"),
                 "application/json; charset=utf-8",
-                extra_headers,
             )
 
         def _send_error_json(
@@ -161,12 +142,10 @@ def _make_handler(service: InferenceService, config: ServeConfig):
             code: str,
             message: str,
             detail: Any = None,
-            extra_headers: Optional[dict] = None,
         ) -> None:
             self._send_json(
                 status,
                 {"error": {"code": code, "message": message, "detail": detail}},
-                extra_headers,
             )
 
         # -- GET -------------------------------------------------------
@@ -415,24 +394,6 @@ def _make_handler(service: InferenceService, config: ServeConfig):
                         "model": model_block,
                         "request_id": payload.get("request_id"),
                     },
-                )
-            elif path == "/predict":
-                record_deprecated()
-                deprecation_headers = {
-                    "Deprecation": "true",
-                    "Link": '</v1/predict>; rel="successor-version"',
-                }
-                payload = self._read_predict_payload()
-                if payload is None:
-                    return
-                result = self._predict(payload)
-                if result is None:
-                    return
-                predictions = result[0]
-                self._send_json(
-                    200,
-                    {"predictions": predictions, "n": len(predictions)},
-                    deprecation_headers,
                 )
             elif path == "/v1/admin/reload":
                 ok, payload = self._read_json_body(allow_empty=True)

@@ -11,7 +11,6 @@ no second registry, no new exposition code.  Names (after the exporter's
 ``serve.batches``         counter    fused model calls (flushes)
 ``serve.rejected``        counter    admission-control rejections (429)
 ``serve.errors``          counter    requests failed after admission
-``serve.deprecated_requests`` counter  hits on deprecated endpoints
 ``serve.batch_size``      histogram  rows per flush (power-of-2 buckets)
 ``serve.queue_depth``     histogram  queue depth sampled at each flush
 ``serve.request_seconds`` histogram  submit→response latency per request
@@ -65,15 +64,6 @@ def record_error() -> None:
     """One request that failed after being admitted."""
     with _LOCK:
         _counter("serve.errors", "Requests that failed after admission.").add(1)
-
-
-def record_deprecated() -> None:
-    """One request served through a deprecated endpoint (legacy /predict)."""
-    with _LOCK:
-        _counter(
-            "serve.deprecated_requests",
-            "Requests answered through deprecated endpoints.",
-        ).add(1)
 
 
 def record_flush(rows: int, seconds: float, queue_depth: int) -> None:
@@ -131,7 +121,6 @@ def worker_restarts_snapshot() -> dict:
 
 __all__ = [
     "COUNT_BUCKETS",
-    "record_deprecated",
     "record_error",
     "record_flush",
     "record_rejected",

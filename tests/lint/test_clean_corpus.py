@@ -34,7 +34,6 @@ PROJECT_RULE_HOT_PATHS = [
     "repro/lifecycle/shadow.py",
     "repro/lifecycle/watch.py",
     "repro/scenarios/load.py",
-    "repro/scenarios/sweep.py",
     "repro/parallel/pool.py",
 ]
 

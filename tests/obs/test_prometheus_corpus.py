@@ -25,7 +25,6 @@ from repro.obs.metrics import REGISTRY
 from repro.scenarios.load import LoadReport
 from repro.scenarios.metrics import record_load_request, record_load_run
 from repro.serve.metrics import (
-    record_deprecated,
     record_error,
     record_flush,
     record_rejected,
@@ -42,7 +41,6 @@ SERVE_SERIES = [
     "repro_serve_batches_total",
     "repro_serve_rejected_total",
     "repro_serve_errors_total",
-    "repro_serve_deprecated_requests_total",
     "repro_serve_batch_size_bucket",
     "repro_serve_queue_depth_bucket",
     "repro_serve_request_seconds_bucket",
@@ -80,7 +78,7 @@ LOADGEN_SERIES = [
 
 def _report() -> LoadReport:
     return LoadReport(
-        mode="inline",
+        mode="closed",
         n_requests=4,
         rows_per_request=2,
         concurrency=1,
@@ -100,7 +98,6 @@ def exposition() -> str:
     record_request(0.003)
     record_rejected()
     record_error()
-    record_deprecated()
     record_flush(rows=8, seconds=0.002, queue_depth=3)
     set_model_loaded(True)
     record_worker_restart()

@@ -132,8 +132,29 @@ def test_validate_bench_rejects_non_mapping():
         validate_bench([1, 2, 3])
 
 
-def test_validate_bench_accepts_the_real_thing():
+#: The ``sweep`` section a run entry carried while the simulated worker
+#: sweep existed (trimmed ``BENCH_serve_scale.json`` shape).
+PARENT_SWEEP = {
+    "engine": "simulated",
+    "workers": [1, 2],
+    "params": {"dispatch_ms": 0.005, "service_ms": 0.7},
+    "runs": {
+        "1": _load_report().to_dict(),
+        "2": _load_report().to_dict(),
+    },
+    "speedup": {"1": 1.0, "2": 2.0},
+}
+
+
+def test_validate_bench_accepts_the_real_thing(tmp_path):
     validate_bench(_valid_doc())  # must not raise
+    # A trajectory written before the sweep was deleted still loads,
+    # its unknown section carried through untouched.
+    legacy = _valid_doc()
+    legacy["runs"][0]["sweep"] = PARENT_SWEEP
+    path = tmp_path / "BENCH_probe.json"
+    path.write_text(json.dumps(legacy), encoding="utf-8")
+    assert load_bench(path) == legacy
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_subprocess_boot_and_predict(artifact, pima_r):
 
         body = json.dumps({"rows": pima_r.X[:2].tolist()}).encode("utf-8")
         req = urllib.request.Request(
-            url + "/predict", data=body,
+            url + "/v1/predict", data=body,
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(req, timeout=10) as resp:

@@ -66,7 +66,7 @@ def test_healthz_and_readyz(server):
 
 def test_predict_single_request(server, model, pima_r):
     rows = pima_r.X[:3].tolist()
-    status, body = _post(server.url + "/predict", {"rows": rows})
+    status, body = _post(server.url + "/v1/predict", {"rows": rows})
     assert status == 200
     assert body["n"] == 3
     assert body["predictions"] == model.predict(np.asarray(rows)).tolist()
@@ -80,7 +80,7 @@ def test_predict_concurrent_requests(server, model, pima_r):
 
     def worker():
         try:
-            status, body = _post(server.url + "/predict", {"rows": rows})
+            status, body = _post(server.url + "/v1/predict", {"rows": rows})
             with lock:
                 results.append((status, body["predictions"]))
         except Exception as exc:  # noqa: BLE001 — surfaced by the assert
@@ -97,18 +97,18 @@ def test_predict_concurrent_requests(server, model, pima_r):
 
 
 def test_bad_json_is_400(server):
-    status, body = _post(server.url + "/predict", None, raw=b"{not json")
+    status, body = _post(server.url + "/v1/predict", None, raw=b"{not json")
     assert status == 400
     assert "error" in body
 
 
 def test_missing_rows_key_is_400(server):
-    status, body = _post(server.url + "/predict", {"data": [[1.0]]})
+    status, body = _post(server.url + "/v1/predict", {"data": [[1.0]]})
     assert status == 400
 
 
 def test_wrong_feature_count_is_400(server):
-    status, body = _post(server.url + "/predict", {"rows": [[1.0, 2.0]]})
+    status, body = _post(server.url + "/v1/predict", {"rows": [[1.0, 2.0]]})
     assert status == 400
     assert body["error"]["code"] == "invalid_request"
     assert "features" in body["error"]["message"]
@@ -116,7 +116,7 @@ def test_wrong_feature_count_is_400(server):
 
 def test_row_cap_is_413(server, pima_r):
     rows = pima_r.X[:65].tolist()  # cap is 64 in the fixture's config
-    status, body = _post(server.url + "/predict", {"rows": rows})
+    status, body = _post(server.url + "/v1/predict", {"rows": rows})
     assert status == 413
 
 
@@ -126,7 +126,7 @@ def test_unknown_path_is_404(server):
 
 
 def test_metrics_exposes_serve_series(server, pima_r):
-    _post(server.url + "/predict", {"rows": pima_r.X[:2].tolist()})
+    _post(server.url + "/v1/predict", {"rows": pima_r.X[:2].tolist()})
     status, body = _get(server.url + "/metrics")
     assert status == 200
     assert "repro_serve_requests_total" in body
@@ -142,7 +142,7 @@ def test_unloaded_server_is_503(model):
         status, _ = _get(server.url + "/readyz")
         assert status == 503
         status, body = _post(
-            server.url + "/predict", {"rows": [[0.0] * 8]}
+            server.url + "/v1/predict", {"rows": [[0.0] * 8]}
         )
         assert status == 503
     finally:
@@ -153,6 +153,6 @@ def test_from_artifact_end_to_end(tmp_path, model, pima_r):
     save_artifact(model, tmp_path / "model")
     with ModelServer.from_artifact(tmp_path / "model", ServeConfig(port=0)) as srv:
         rows = pima_r.X[:4].tolist()
-        status, body = _post(srv.url + "/predict", {"rows": rows})
+        status, body = _post(srv.url + "/v1/predict", {"rows": rows})
         assert status == 200
         assert body["predictions"] == model.predict(np.asarray(rows)).tolist()

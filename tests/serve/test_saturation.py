@@ -119,7 +119,6 @@ def test_full_queue_rejects_with_429_and_counts_it(pipeline, pima_r):
             transport,
             slo=SLOSpec(max_error_rate=0.0),
             rows=rows,
-            workers="threads",
         )
         releaser.join()
         wedge_thread.join(timeout=20.0)
@@ -150,7 +149,6 @@ def test_dead_worker_behind_live_socket_is_all_503(pipeline, pima_r):
             HttpTransport(server.url, timeout_s=10.0),
             slo=SLOSpec(max_error_rate=0.0),
             rows=np.asarray(pima_r.X[:4], dtype=np.float64),
-            workers="threads",
         )
         assert report.status_counts == {"503": 6}
         assert report.error_rate == 1.0
@@ -171,7 +169,7 @@ def test_pool_dead_worker_degrades_readyz_everywhere(
     a probe to a perfectly healthy worker.  Readiness is therefore
     aggregated (supervisor roster + sibling liveness probes), so the
     surviving worker *also* reports 503 — a load balancer sees the
-    degraded pool no matter which worker answers — while ``/predict``
+    degraded pool no matter which worker answers — while ``/v1/predict``
     keeps serving from the survivors.
 
     Restart supervision would replace the victim within one backoff
@@ -223,7 +221,6 @@ def test_pool_dead_worker_degrades_readyz_everywhere(
             HttpTransport(pool.url, timeout_s=10.0),
             slo=SLOSpec(max_error_rate=0.0),
             rows=np.asarray(pima_r.X[:4], dtype=np.float64),
-            workers="threads",
         )
         assert report.status_counts == {"200": 6}
 
@@ -244,7 +241,6 @@ def test_capacity_recovers_after_the_burst(pipeline, pima_r):
             HttpTransport(server.url, timeout_s=20.0),
             slo=SLOSpec(max_error_rate=0.0),
             rows=np.asarray(pima_r.X[:16], dtype=np.float64),
-            workers="threads",
         )
         assert report.status_counts == {"200": 32}
         assert report.ok

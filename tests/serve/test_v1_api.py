@@ -1,11 +1,9 @@
-"""The versioned ``/v1/predict`` contract and the deprecated alias.
+"""The versioned ``/v1/predict`` contract, the one predict route.
 
-Pins the PR 9 API redesign: typed response envelope (predictions +
-model identity + echoed ``request_id``), the structured
-``{"error": {"code", "message", "detail"}}`` error schema on every
-non-2xx, and the legacy ``/predict`` alias's deprecation mechanics
-(legacy response shape, ``Deprecation`` header, successor ``Link``,
-``serve.deprecated_requests`` counter).
+Pins the typed response envelope (predictions + model identity + echoed
+``request_id``) and the structured ``{"error": {"code", "message",
+"detail"}}`` error schema on every non-2xx — including the removed
+``/predict`` alias, which is now an unknown path.
 """
 
 from __future__ import annotations
@@ -20,17 +18,10 @@ import pytest
 from repro.core.classifier import PrototypeClassifier
 from repro.core.records import RecordEncoder
 from repro.ml.pipeline import HDCFeaturePipeline
-from repro.obs.metrics import REGISTRY
 from repro.persist import SCHEMA_VERSION, artifact_sha, save_artifact
 from repro.serve import ModelServer, ServeConfig
-from repro.serve.metrics import record_deprecated
 
 DIM = 1024
-
-
-def _counter(name: str) -> float:
-    metric = REGISTRY.get(name)
-    return float(metric.value) if metric is not None else 0.0
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +116,11 @@ def test_error_schema_on_bad_json(server):
 
 
 def test_error_schema_on_unknown_path(server, pima_r):
-    status, body, _ = _post(server.url + "/v2/predict", {"rows": []})
-    assert status == 404
-    assert body["error"]["code"] == "not_found"
+    # /predict was the pre-/v1 alias; it is gone, not redirected.
+    for path in ("/v2/predict", "/predict"):
+        status, body, _ = _post(server.url + path, {"rows": pima_r.X[:1].tolist()})
+        assert status == 404, path
+        assert body["error"]["code"] == "not_found", path
 
 
 def test_error_schema_on_row_cap(server, pima_r):
@@ -135,37 +128,3 @@ def test_error_schema_on_row_cap(server, pima_r):
     status, body, _ = _post(server.url + "/v1/predict", {"rows": rows})
     assert status == 413
     assert body["error"]["code"] == "payload_too_large"
-
-
-# -- the deprecated alias ----------------------------------------------
-
-
-def test_legacy_predict_keeps_legacy_shape_and_warns(server, model, pima_r):
-    rows = pima_r.X[:2].tolist()
-    before = _counter("serve.deprecated_requests")
-    status, body, headers = _post(server.url + "/predict", {"rows": rows})
-    assert status == 200
-    assert body == {
-        "predictions": model.predict(np.asarray(rows)).tolist(),
-        "n": 2,
-    }  # exact legacy shape: no model block, no request_id
-    assert headers["Deprecation"] == "true"
-    assert headers["Link"] == '</v1/predict>; rel="successor-version"'
-    assert _counter("serve.deprecated_requests") == before + 1
-
-
-def test_v1_does_not_count_as_deprecated(server, pima_r):
-    before = _counter("serve.deprecated_requests")
-    status, _, headers = _post(
-        server.url + "/v1/predict", {"rows": pima_r.X[:1].tolist()}
-    )
-    assert status == 200
-    assert "Deprecation" not in headers
-    assert _counter("serve.deprecated_requests") == before
-
-
-def test_deprecated_counter_renders_in_prometheus(server, pima_r):
-    record_deprecated()
-    with urllib.request.urlopen(server.url + "/metrics", timeout=10) as resp:
-        metrics = resp.read().decode("utf-8")
-    assert "repro_serve_deprecated_requests_total" in metrics
