@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.scenarios.errors import ScenarioError
-from repro.scenarios.report import load_bench
+from repro.scenarios.report import describe_saturation, load_bench
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.schema import (
     apply_preset,
@@ -148,6 +148,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"p99 {load['latency_ms']['p99']:.2f} ms, "
         f"error rate {load['error_rate']:.4f}"
     )
+    saturation_block = entry.get("saturation")
+    if saturation_block:
+        print(f"repro-scenarios: saturation: {describe_saturation(saturation_block)}")
     rollout_block = entry.get("rollout")
     if rollout_block:
         swap = rollout_block["swap"]

@@ -388,8 +388,11 @@ def find_saturation(
     transport from ``transport_factory`` so per-step state (connection
     pools, fake-transport call counts) does not leak across rates.
 
-    Returns ``{"saturation_rps": float | None, "steps": [...]}`` with one
-    report dict per step, in offered-rate order.
+    Returns ``{"saturation_rps": float | None, "saturated": bool,
+    "steps": [...]}`` with one report dict per step, in offered-rate
+    order.  ``saturated`` is False when every one of the ``max_steps``
+    steps met the SLO: ``saturation_rps`` is then only a lower bound on
+    the knee, not the knee.
     """
     if growth <= 1.0:
         raise ScenarioError(f"growth must be > 1, got {growth}")
@@ -398,17 +401,18 @@ def find_saturation(
     slo = slo or SLOSpec()
     steps: List[Dict[str, Any]] = []
     saturation: Optional[float] = None
+    saturated = False
     rate = float(start_rps)
     for _ in range(max_steps):
         step_traffic = replace(traffic, mode="open", rate_rps=rate)
         report = run_load(step_traffic, transport_factory(), slo=slo, rows=rows)
         steps.append({"offered_rps": rate} | report.to_dict())
-        if report.ok:
-            saturation = rate
-        else:
+        if not report.ok:
+            saturated = True
             break
+        saturation = rate
         rate *= growth
-    return {"saturation_rps": saturation, "steps": steps}
+    return {"saturation_rps": saturation, "saturated": saturated, "steps": steps}
 
 
 __all__ = [

@@ -117,6 +117,16 @@ def make_run_entry(
     }
 
 
+def describe_saturation(block: Mapping[str, Any]) -> str:
+    """One line for a :func:`~repro.scenarios.load.find_saturation` result."""
+    steps = block["steps"]
+    knee = block["saturation_rps"]
+    if not block["saturated"]:
+        return f"not saturated within {len(steps)} steps (>= {knee:g} rps)"
+    missed = f"SLO missed at {steps[-1]['offered_rps']:g} rps"
+    return missed if knee is None else f"knee at {knee:g} rps ({missed})"
+
+
 def new_bench(scenario_name: str) -> Dict[str, Any]:
     return {
         "bench_schema_version": BENCH_SCHEMA_VERSION,
@@ -282,6 +292,7 @@ __all__ = [
     "SERVER_COUNTERS",
     "bench_filename",
     "bench_path",
+    "describe_saturation",
     "diff_server_counters",
     "load_bench",
     "make_run_entry",

@@ -18,15 +18,16 @@ directory and hot-swaps in place when its manifest sha changes;
 / ``--drift-window`` tune the HDC traffic-vs-training drift monitor.
 Everything is also reachable at runtime through ``POST /v1/admin/*``.
 
-Exit codes: 0 = clean shutdown (Ctrl-C), 2 = bad arguments or an
+Exit codes: 0 = clean shutdown (Ctrl-C or SIGTERM), 2 = bad arguments or an
 unloadable artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.persist import ArtifactError, artifact_info
 from repro.serve.config import ServeConfig, resolve_serve_config
@@ -151,50 +152,62 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArtifactError as exc:
         print(f"repro-serve: error: {exc}", file=sys.stderr)
         return 2
-    if config.workers > 1:
+    banner = (
+        f"repro-serve: serving {info['kind']} "
+        f"(schema v{info['schema_version']}, repro {info['repro_version']})"
+    )
+    # SIGTERM stops the server cleanly from before the banner on: a
+    # supervisor may send it as soon as the banner announces the port,
+    # before serve_forever has installed its own handler.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        if config.workers > 1:
+            try:
+                pool = ServePool(args.artifact, config)
+                host, port = pool.start()
+            except (ArtifactError, RuntimeError, OSError) as exc:
+                print(f"repro-serve: error: {exc}", file=sys.stderr)
+                return 2
+            return _serve_until_stopped(
+                pool,
+                f"{banner} on http://{host}:{port} [{config.workers} workers"
+                f"{', mmap' if config.mmap else ''}]",
+                lambda: _start_watcher(config, args.artifact, pool=pool),
+            )
         try:
-            pool = ServePool(args.artifact, config)
-            host, port = pool.start()
-        except (ArtifactError, RuntimeError, OSError) as exc:
+            server = ModelServer.from_artifact(args.artifact, config)
+            if config.candidate_artifact is not None:
+                server.service.mount_candidate(config.candidate_artifact)
+        except (ArtifactError, RuntimeError) as exc:  # ReloadError is a RuntimeError
             print(f"repro-serve: error: {exc}", file=sys.stderr)
             return 2
-        print(
-            f"repro-serve: serving {info['kind']} "
-            f"(schema v{info['schema_version']}, repro {info['repro_version']}) "
-            f"on http://{host}:{port} "
-            f"[{config.workers} workers"
-            f"{', mmap' if config.mmap else ''}]",
-            flush=True,
+        host, port = server.start()
+        return _serve_until_stopped(
+            server,
+            f"{banner} on http://{host}:{port}",
+            lambda: _start_watcher(config, args.artifact, server=server),
         )
-        watcher = _start_watcher(config, args.artifact, pool=pool)
-        try:
-            pool.serve_forever()
-        finally:
-            if watcher is not None:
-                watcher.stop()
-            pool.stop()
-        return 0
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _interrupt(signum: int, frame: Any) -> None:
+    raise KeyboardInterrupt
+
+
+def _serve_until_stopped(target: Any, banner: str, start_watcher: Any) -> int:
+    """Announce the address, then serve until SIGTERM or Ctrl-C; exit 0."""
+    watcher = None
     try:
-        server = ModelServer.from_artifact(args.artifact, config)
-        if config.candidate_artifact is not None:
-            server.service.mount_candidate(config.candidate_artifact)
-    except (ArtifactError, RuntimeError) as exc:  # ReloadError is a RuntimeError
-        print(f"repro-serve: error: {exc}", file=sys.stderr)
-        return 2
-    host, port = server.start()
-    print(
-        f"repro-serve: serving {info['kind']} "
-        f"(schema v{info['schema_version']}, repro {info['repro_version']}) "
-        f"on http://{host}:{port}",
-        flush=True,
-    )
-    watcher = _start_watcher(config, args.artifact, server=server)
-    try:
-        server.serve_forever()
+        print(banner, flush=True)
+        watcher = start_watcher()
+        target.serve_forever()
+    except KeyboardInterrupt:
+        pass
     finally:
         if watcher is not None:
             watcher.stop()
-        server.stop()
+        target.stop()
     return 0
 
 

@@ -73,8 +73,20 @@ def _kernel_info_lines() -> str:
     )
 
 
-class _ReusePortHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that binds with ``SO_REUSEPORT`` set.
+#: Listen backlog of every serving socket.  ``socketserver``'s default
+#: of 5 resets connections in a burst of concurrent connects.
+LISTEN_BACKLOG = 128
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The threaded server every :class:`ModelServer` runs on."""
+
+    request_queue_size = LISTEN_BACKLOG
+    daemon_threads = True
+
+
+class _ReusePortHTTPServer(_HTTPServer):
+    """Threaded server that binds with ``SO_REUSEPORT`` set.
 
     Every pool worker binds its own socket to the same address; the
     kernel then load-balances incoming connections across them.
@@ -82,18 +94,18 @@ class _ReusePortHTTPServer(ThreadingHTTPServer):
 
     def server_bind(self) -> None:
         self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        ThreadingHTTPServer.server_bind(self)
+        _HTTPServer.server_bind(self)
 
 
-class _InheritedSocketHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer accepting on a pre-bound, listening socket.
+class _InheritedSocketHTTPServer(_HTTPServer):
+    """Threaded server accepting on a pre-bound, listening socket.
 
     The ``SO_REUSEPORT`` fallback: the pool supervisor binds + listens
     once before forking and every worker accepts on the inherited fd.
     """
 
     def __init__(self, listen_socket: socket.socket, handler_class) -> None:
-        ThreadingHTTPServer.__init__(
+        _HTTPServer.__init__(
             self,
             listen_socket.getsockname()[:2],
             handler_class,
@@ -116,6 +128,9 @@ def _make_handler(service: InferenceService, config: ServeConfig):
     class _Handler(BaseHTTPRequestHandler):
         server_version = "repro-serve"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every connection: also covers the stdlib's own
+        # send_error, which still writes its headers and body apart.
+        disable_nagle_algorithm = True
 
         # -- plumbing --------------------------------------------------
         def log_message(self, fmt: str, *args: Any) -> None:
@@ -126,8 +141,14 @@ def _make_handler(service: InferenceService, config: ServeConfig):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if self.request_version == "HTTP/0.9":  # no status line, no headers
+                self.wfile.write(body)
+                return
+            # Status line, headers, blank line and body leave in one write.
+            # Written apart, Nagle holds the body until the client's delayed
+            # ACK of the headers: ~40 ms on every keep-alive response.
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
 
         def _send_json(self, status: int, payload: Any) -> None:
             self._send(
@@ -454,7 +475,7 @@ class ModelServer:
         # Guards _httpd/_thread: start/stop/address may race (a CLI's
         # signal handler stopping while serve_forever is still starting).
         self._lifecycle = threading.Lock()
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     @classmethod
@@ -480,24 +501,20 @@ class ModelServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def _build_httpd(self) -> ThreadingHTTPServer:
+    def _build_httpd(self) -> _HTTPServer:
         handler = _make_handler(self.service, self.config)
         if self._listen_socket is not None:
             return _InheritedSocketHTTPServer(self._listen_socket, handler)
-        server_cls = (
-            _ReusePortHTTPServer if self._reuse_port else ThreadingHTTPServer
-        )
+        server_cls = _ReusePortHTTPServer if self._reuse_port else _HTTPServer
         return server_cls((self.config.host, self.config.port), handler)
 
     def start(self) -> Tuple[str, int]:
         with self._lifecycle:
             if self._httpd is None:
                 self.service.start()
-                httpd = self._build_httpd()
-                httpd.daemon_threads = True
-                self._httpd = httpd
+                self._httpd = self._build_httpd()
                 self._thread = threading.Thread(
-                    target=httpd.serve_forever,
+                    target=self._httpd.serve_forever,
                     name="repro-serve-http",
                     daemon=True,
                 )

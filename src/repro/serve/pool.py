@@ -77,7 +77,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.export import to_prometheus
 from repro.serve.config import ServeConfig
-from repro.serve.http import ModelServer
+from repro.serve.http import LISTEN_BACKLOG, ModelServer
 from repro.serve.metrics import record_worker_restart, worker_restarts_snapshot
 from repro.serve.service import InferenceService
 
@@ -429,7 +429,7 @@ class ServePool:
             else:
                 # Fallback: one listening socket, inherited through fork.
                 sock.bind((self.config.host, self.config.port))
-                sock.listen(128)
+                sock.listen(LISTEN_BACKLOG)
         except OSError:
             sock.close()
             raise

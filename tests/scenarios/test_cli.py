@@ -101,6 +101,18 @@ def test_run_check_slo_exit_code(scenario_dir, tmp_path):
     assert main(argv + ["--check-slo"]) == 1
 
 
+def test_run_prints_the_saturation_sweep(scenario_dir, tmp_path, capsys):
+    impossible = dict(TINY_SCENARIO, name="strict", fast=None)
+    impossible["slo"] = {"min_throughput_rps": 1e9}
+    (scenario_dir / "strict.json").write_text(json.dumps(impossible), encoding="utf-8")
+    argv = ["run", "strict", "--dir", str(scenario_dir), "--out", str(tmp_path)]
+    assert main(argv + ["--saturation"]) == 0
+    assert "saturation: SLO missed at 12.5 rps" in capsys.readouterr().out
+    run = load_bench(tmp_path / "BENCH_strict.json")["runs"][0]
+    assert run["saturation"]["saturated"] is True
+    assert run["saturation"]["saturation_rps"] is None
+
+
 def test_run_unknown_scenario_is_exit_2(scenario_dir, capsys):
     assert main(["run", "nope", "--dir", str(scenario_dir)]) == 2
     assert "unknown scenario" in capsys.readouterr().err

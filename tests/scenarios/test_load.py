@@ -26,6 +26,7 @@ from repro.scenarios.load import (
     run_load,
     summarize,
 )
+from repro.scenarios.report import describe_saturation
 from repro.scenarios.schema import SLOSpec, TrafficSpec
 
 
@@ -206,6 +207,23 @@ def test_find_saturation_locates_the_knee():
     assert steps[0]["offered_rps"] == 125.0
     assert steps[-1]["slo_violations"]  # the sweep stopped on a violation
     assert knee == steps[-2]["offered_rps"]
+
+
+def test_find_saturation_without_a_violation_is_not_a_knee():
+    # Every step meets the SLO, so the sweep never found the knee: the
+    # last offered rate is a lower bound, not a saturation point.
+    result = find_saturation(
+        _traffic(n_requests=20),
+        FakeTransport,
+        start_rps=50.0,
+        growth=2.0,
+        max_steps=3,
+    )
+    assert [step["offered_rps"] for step in result["steps"]] == [50.0, 100.0, 200.0]
+    assert not any(step["slo_violations"] for step in result["steps"])
+    assert result["saturated"] is False
+    assert result["saturation_rps"] == 200.0
+    assert describe_saturation(result) == "not saturated within 3 steps (>= 200 rps)"
 
 
 def test_find_saturation_validates_knobs():

@@ -14,6 +14,7 @@ from repro.scenarios.report import (
     SERVER_COUNTERS,
     bench_filename,
     bench_path,
+    describe_saturation,
     diff_server_counters,
     load_bench,
     make_run_entry,
@@ -216,3 +217,12 @@ def test_diff_server_counters_covers_every_serve_series():
     diff = diff_server_counters(before, after)
     assert set(diff) == set(SERVER_COUNTERS)
     assert all(v == 2.5 for v in diff.values())
+
+
+def test_describe_saturation_names_the_knee():
+    block = {
+        "saturation_rps": 50.0,
+        "saturated": True,
+        "steps": [{"offered_rps": 50.0}, {"offered_rps": 100.0}],
+    }
+    assert describe_saturation(block) == "knee at 50 rps (SLO missed at 100 rps)"
